@@ -2,8 +2,11 @@
 
 Commands: benzel, triangle, shadow, tile (construct|count|enumerate|freq),
 scan, render.  Exit codes: 0 success, 2 input error, 3 resource limit.
-All numeric output is exact decimal; a memo-cap abort prints
-"resource-limit" and never masquerades as a count of 0.
+All numeric output is exact decimal.  `tile count` and `tile freq` run the
+forward frontier sweep of trihex.tilings.count_tilings; --memo-limit-mb
+caps the estimated bytes of its live states.  Hitting the cap prints
+"resource-limit" on stdout, never a count of 0, and on stderr the cell
+the sweep reached, its live states and their estimated bytes.
 """
 
 from __future__ import annotations
@@ -342,8 +345,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ResourceLimit:
+    except ResourceLimit as e:
         print("resource-limit")
+        print(f"resource-limit: {e}", file=sys.stderr)
         return 3
     except (TrihexError, OSError) as e:
         if getattr(args, "json", False):

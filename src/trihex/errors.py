@@ -49,8 +49,9 @@ class InvalidPlacement(TrihexError):
 
 
 class ResourceLimit(TrihexError):
-    """The counting engine hit its memo-size cap.  Deliberately distinct from
-    a genuine zero count."""
+    """The counting engine's live states outgrew its memory cap.  Deliberately
+    distinct from a genuine zero count; the message says where the sweep
+    stopped."""
 
 
 class ConstructionFailed(TrihexError):

@@ -2,9 +2,12 @@
 
 The tileset consists of the three bone orientations (three cells with
 collinear centers) and the two stone chiralities (three pairwise-adjacent
-cells).  Counting uses a memoized frontier search over a fixed sweep order
-so that 19-digit counts stay exact; enumeration is a separate plain
-backtracking engine sharing the same placement table.
+cells).  Counting is a forward frontier sweep over the cells in row order
+(2x - y, then y) that keeps only the live frontier states, each with an
+exact int count; the memory cap bounds the estimated bytes of those live
+states.  Enumeration is a separate plain backtracking engine over the same
+placement table, built in its own diagonal order (x - y, then x), which
+fixes its documented output order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
 from .hexlattice import LatticePoint, class_of
@@ -133,27 +136,51 @@ def validation_error(t: Tiling) -> Optional[str]:
     return None
 
 
-class _PlacementTable:
-    """Shared precomputation for the two engines: cells in sweep order, and
-    placements bucketed by their first (lowest-index) covered cell."""
+def _enumeration_order(c: LatticePoint) -> Tuple[int, int]:
+    # Along the x - y diagonal; enumeration's documented output order is
+    # lexicographic in the choices made in this order.
+    return (c.x - c.y, c.x)
 
-    def __init__(self, r: Region, tileset: Sequence[TileKind]):
-        # Sweep along the x - y direction: tile index spans stay small on
-        # benzels, which bounds the memo window.
-        self.order = sorted(r.cells, key=lambda c: (c.x - c.y, c.x))
+
+def _counting_order(c: LatticePoint) -> Tuple[int, int]:
+    # One cell row (2x - y constant) after another.  A translation adds a
+    # constant to both parts and never changes the sort; rotating or
+    # reflecting the lattice maps rows onto rows, so no input is swept
+    # along a diagonal.  Of the twelve row orders and the diagonal, this
+    # one's rotation orbit holds the fewest peak live states summed over
+    # the benzels with a, b <= 14; see CHANGES.md for the measured table.
+    return (2 * c.x - c.y, c.y)
+
+
+class _PlacementTable:
+    """Shared precomputation for the two engines: cells in a sweep order,
+    and placements bucketed by their first (lowest-index) covered cell."""
+
+    def __init__(
+        self,
+        r: Region,
+        tileset: Sequence[TileKind],
+        key: Callable[[LatticePoint], Tuple[int, int]],
+    ):
+        self.order = sorted(r.cells, key=key)
         self.index = {c: i for i, c in enumerate(self.order)}
         self.n = len(self.order)
         self.by_first: List[List[Tuple[Placement, Tuple[int, int]]]] = [
             [] for _ in range(self.n)
         ]
-        self.span = 1
         for p in placements(r, tileset):
             i0, i1, i2 = sorted(self.index[c] for c in cells_of(p))
             self.by_first[i0].append((p, (i1 - i0, i2 - i0)))
-            self.span = max(self.span, i2 - i0 + 1)
 
 
-def _memo_entry_limit(memo_limit_mb: Optional[float]) -> Optional[int]:
+# Resident bytes per live counting state: a dict slot plus its int mask and
+# int count.  The (22, 26) bone count measured 76-106 B between 0.1 M and
+# 13 M live states (peak RSS over the import baseline); rounding the top of
+# that range up keeps the cap binding before memory does.
+_BYTES_PER_STATE = 110
+
+
+def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
     if memo_limit_mb is None:
         env = os.environ.get("TRIBONE_MEMO_LIMIT_MB")
         if env is None:
@@ -162,9 +189,7 @@ def _memo_entry_limit(memo_limit_mb: Optional[float]) -> Optional[int]:
             memo_limit_mb = float(env)
         except ValueError:
             raise ResourceLimit(f"bad TRIBONE_MEMO_LIMIT_MB value {env!r}")
-    # Rough per-entry cost of a dict slot plus a small key tuple and an int
-    # value; deliberately conservative so the cap binds before the OS does.
-    return max(1, int(memo_limit_mb * 1024 * 1024) // 200)
+    return int(memo_limit_mb * 1024 * 1024)
 
 
 def count_tilings(
@@ -174,49 +199,62 @@ def count_tilings(
 ) -> int:
     """Exact number of partitions of r into tiles of the given kinds.
 
-    Memoized frontier search: branch on every placement covering the first
-    uncovered cell in sweep order; the memo key is that cell's index plus
-    the occupancy pattern of the lookahead window (whose width is the
-    largest index span of any placement).  Raises ResourceLimit, never
-    returns a bogus 0, when the memo exceeds its cap (set explicitly or
-    via the TRIBONE_MEMO_LIMIT_MB environment variable).
+    Forward frontier sweep over the cells in row order (2x - y, then y).  A
+    state is the first uncovered cell i plus a window mask whose bit j says
+    cell i + j is already covered.  States are kept in one bucket per cell,
+    each a dict from mask to an exact count of partial tilings.  Bucket i is
+    popped in turn; every placement whose first cell is i and whose other
+    cells are free moves its count to the bucket of the next uncovered
+    cell.  The answer is the count left in bucket n.  Only buckets not yet
+    popped are held, so memory follows the live frontier.
+
+    memo_limit_mb (or the TRIBONE_MEMO_LIMIT_MB environment variable) caps
+    the estimated bytes of live states.  Past the cap the sweep raises
+    ResourceLimit, naming the cell it reached; it never returns a bogus 0.
     """
-    table = _PlacementTable(r, tileset)
+    table = _PlacementTable(r, tileset, _counting_order)
     n = table.n
     if n == 0:
         return 1
     if n % 3:
         return 0
-    limit = _memo_entry_limit(memo_limit_mb)
-    memo: Dict[Tuple[int, int], int] = {}
-    by_first = table.by_first
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 100))
-
-    def go(i: int, mask: int) -> int:
-        # i is the first uncovered cell; bit j of mask says cell i+j is
-        # already covered (bit 0 is always clear).
-        if i >= n:
-            return 1
-        key = (i, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for _p, (d1, d2) in by_first[i]:
-            bits = (1 << d1) | (1 << d2)
-            if mask & bits:
-                continue
-            m2 = mask | bits | 1
-            j = (~m2 & (m2 + 1)).bit_length() - 1  # lowest clear bit
-            total += go(i + j, m2 >> j)
-        if limit is not None and len(memo) >= limit:
-            raise ResourceLimit(
-                f"memo exceeded its cap of {limit} entries while counting"
+    limit = _memo_limit_bytes(memo_limit_mb)
+    # A placement's cells relative to its first cell, as mask bits.
+    moves = [
+        [1 | (1 << d1) | (1 << d2) for _p, (d1, d2) in ps] for ps in table.by_first
+    ]
+    reach = max((d2 for ps in table.by_first for _p, (_d1, d2) in ps), default=0)
+    buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
+    buckets[0] = {0: 1}
+    for i in range(n):
+        layer = buckets[i]
+        if layer is None:
+            continue
+        buckets[i] = None
+        for mask, count in layer.items():
+            for bits in moves[i]:
+                if mask & bits:
+                    continue
+                m = mask | bits
+                j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+                m >>= j
+                nxt = buckets[i + j]
+                if nxt is None:
+                    buckets[i + j] = {m: count}
+                else:
+                    nxt[m] = nxt.get(m, 0) + count
+        if limit is not None:
+            live = len(layer) + sum(
+                len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
             )
-        memo[key] = total
-        return total
-
-    return go(0, 0)
+            if live * _BYTES_PER_STATE > limit:
+                raise ResourceLimit(
+                    f"counting stopped at cell {i} of {n}: {live} live states, "
+                    f"about {live * _BYTES_PER_STATE / 2**20:.0f} MB estimated, "
+                    f"over the cap of {limit / 2**20:g} MB"
+                )
+    last = buckets[n]
+    return last.get(0, 0) if last is not None else 0
 
 
 def enumerate_tilings(
@@ -231,7 +269,7 @@ def enumerate_tilings(
     """
     if limit is not None and limit <= 0:
         return
-    table = _PlacementTable(r, tileset)
+    table = _PlacementTable(r, tileset, _enumeration_order)
     n = table.n
     if n == 0:
         yield Tiling(r, ())

@@ -95,6 +95,16 @@ def test_tile_count_resource_limit(capsys):
     assert out.strip() == "resource-limit"
 
 
+def test_tile_count_resource_limit_detail_on_stderr(capsys):
+    code, out, err = run(
+        capsys, "tile", "count", "--benzel", "12,15", "--tiles", "bones",
+        "--memo-limit-mb", "0.01",
+    )
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert "of 162" in err and "live states" in err
+
+
 def test_tile_enumerate_limit(capsys):
     code, out, _ = run(
         capsys, "tile", "enumerate", "--benzel", "3,3", "--tiles", "stones+bones",

@@ -2,16 +2,18 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 from trihex.errors import (
     FormatError,
+    InvalidParams,
     InvalidPlacement,
     InvalidTiling,
     ResourceLimit,
 )
-from trihex.hexlattice import LatticePoint
+from trihex.hexlattice import LatticePoint, rotate120
 from trihex.regions import BenzelParams, Region, benzel, region_from_cells, triangle
 from trihex.shadow import cl_invariant_path
 from trihex.tilings import (
@@ -122,6 +124,55 @@ def test_count_matches_enumeration():
             seen.add(key)
 
 
+def _rotated_and_translated(r):
+    """The region in its three 120-degree rotations, then translated by a
+    vector of class 0 (so cell centres stay cell centres)."""
+    cells = r.cells
+    out = []
+    for _ in range(3):
+        out.append(Region(cells))
+        cells = frozenset(rotate120(c) for c in cells)
+    out.append(Region(frozenset(LatticePoint(c.x + 5, c.y - 2) for c in r.cells)))
+    return out
+
+
+def _valid_params(bound):
+    for a in range(2, bound + 1):
+        for b in range(2, bound + 1):
+            try:
+                yield BenzelParams(a, b)
+            except InvalidParams:
+                continue
+
+
+def test_count_matches_enumeration_under_rotation_and_translation():
+    # Enumeration sweeps its own diagonal order with a separate engine, so
+    # it is an independent oracle for the row-order counting sweep.
+    shapes = [benzel(p) for p in _valid_params(8)] + [triangle(n) for n in range(1, 8)]
+    for shape in shapes:
+        for r in _rotated_and_translated(shape):
+            for tileset in (BONES, STONES_AND_BONES):
+                expected = sum(1 for _ in enumerate_tilings(r, tileset))
+                assert count_tilings(r, tileset) == expected, (len(r), tileset)
+
+
+def test_count_does_not_depend_on_recursion_depth():
+    r = benzel(BenzelParams(12, 15))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    low = depth + 20
+    sys.setrecursionlimit(low)
+    try:
+        assert count_tilings(r, BONES) == 42705
+        assert sys.getrecursionlimit() == low
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_enumerate_respects_limit():
     r = benzel(BenzelParams(3, 3))
     assert len(list(enumerate_tilings(r, STONES_AND_BONES, limit=2))) == 2
@@ -132,6 +183,11 @@ def test_memo_cap_raises_resource_limit():
     r = benzel(BenzelParams(12, 15))
     with pytest.raises(ResourceLimit):
         count_tilings(r, BONES, memo_limit_mb=0.001)
+
+
+def test_resource_limit_says_where_it_stopped():
+    with pytest.raises(ResourceLimit, match=r"cell \d+ of 162: \d+ live states"):
+        count_tilings(benzel(BenzelParams(12, 15)), BONES, memo_limit_mb=0.01)
 
 
 def test_memo_cap_env_var(monkeypatch):
