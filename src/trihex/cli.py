@@ -17,8 +17,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from .errors import ResourceLimit, TrihexError
-from .hexlattice import LatticePoint, Word, signed_area
-from .pentagonal import construct_tiling, pentagonal_benzel
+from .hexlattice import LatticePoint, signed_area
+from .pentagonal import construct_tiling
 from .regions import (
     BenzelParams,
     Region,
@@ -164,7 +164,8 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
                 p = BenzelParams(a, b)
             except TrihexError:
                 continue
-            count = len(benzel(p))
+            region = benzel(p)
+            count = len(region)
             k = is_pentagonal_pair(a, b)
             row = {
                 "a": a,
@@ -175,7 +176,7 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
                 "pentagonalK": k,
             }
             if args.search and count % 3 == 0 and count <= args.search_cap:
-                row["boneTileable"] = count_tilings(benzel(p), BONES) > 0
+                row["boneTileable"] = count_tilings(region, BONES) > 0
             rows.append(row)
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import (
     EmptyRegion,
@@ -48,6 +48,13 @@ _CORNER_OFFSETS = (
     LatticePoint(-1, 0),
     LatticePoint(-1, -1),
     LatticePoint(0, -1),
+)
+
+# Edge i of a cell, from corner i to corner i + 1: the offsets of its tail
+# and head, and of the center of the cell on its other side.
+_CELL_EDGES = tuple(
+    (u, w, u + w)
+    for u, w in zip(_CORNER_OFFSETS, _CORNER_OFFSETS[1:] + _CORNER_OFFSETS[:1])
 )
 
 
@@ -134,16 +141,6 @@ def rightmost_corner(p: BenzelParams) -> LatticePoint:
     return LatticePoint(p.b, p.b - p.a)
 
 
-def _inside_closed_hexagon(q: LatticePoint, hexagon: Sequence[LatticePoint]) -> bool:
-    # Half-plane test per CCW edge; the integer cross product is a positive
-    # multiple of the Cartesian one, so the signs agree.
-    for i in range(6):
-        v, w = hexagon[i], hexagon[(i + 1) % 6]
-        if cross(w - v, q - v) < 0:
-            return False
-    return True
-
-
 def cell_corners(center: LatticePoint) -> Tuple[LatticePoint, ...]:
     """The six corner vertices of the cell, counterclockwise from center+1."""
     return tuple(center + d for d in _CORNER_OFFSETS)
@@ -154,7 +151,9 @@ def benzel(p: BenzelParams) -> Region:
 
     Equivalent center test: per hexagon edge, the worst corner offset is
     folded into a constant, so each candidate center costs one half-plane
-    test per edge instead of six.
+    test per edge instead of six.  Within a row of fixed y each test
+    cross(d, (x, y) - v) + margin >= 0 reads k - d.y * x >= 0, so the row's
+    cells are the class--1 centers of one interval of x.
     """
     hexagon = bounding_hexagon(p)
     edges = []
@@ -163,15 +162,21 @@ def benzel(p: BenzelParams) -> Region:
         d = w - v
         margin = min(cross(d, off) for off in _CORNER_OFFSETS)
         edges.append((d, v, margin))
-    m = max(p.a, p.b) + 2
     cells = set()
-    for x in range(-m, m + 1):
-        for y in range(-m, m + 1):
-            center = LatticePoint(x, y)
-            if class_of(center) != -1:
-                continue
-            if all(cross(d, center - v) + margin >= 0 for d, v, margin in edges):
-                cells.add(center)
+    # The hexagon spans -a <= x <= b and -b <= y <= a.
+    for y in range(-p.b, p.a + 1):
+        lo, hi = -p.a, p.b
+        for d, v, margin in edges:
+            k = d.x * (y - v.y) + d.y * v.x + margin
+            if d.y > 0:
+                hi = min(hi, k // d.y)
+            elif d.y < 0:
+                lo = max(lo, -(k // -d.y))
+            elif k < 0:
+                hi = lo - 1
+        # The first x >= lo with x + y == -1 (mod 3).
+        for x in range(lo + (-1 - lo - y) % 3, hi + 1, 3):
+            cells.add(LatticePoint(x, y))
     return Region(frozenset(cells))
 
 
@@ -194,6 +199,33 @@ def triangle(n: int) -> Region:
 _STEP_FOR_VECTOR = {s.vector: s for s in Step}
 
 
+def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
+    """The counterclockwise boundary of a set of cells as a vertex cycle,
+    starting at the lexicographically smallest vertex.
+
+    Edge i of a cell (corner i to corner i + 1) is on the boundary exactly
+    when the cell across it is not in the set.  Raises NotSimplyConnected
+    unless those edges form a single closed curve.
+    """
+    succ: Dict[LatticePoint, LatticePoint] = {}
+    for c in cells:
+        for tail, head, across in _CELL_EDGES:
+            if c + across not in cells:
+                v = c + tail
+                if v in succ:
+                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
+                succ[v] = c + head
+    start = min(succ)
+    ring = [start]
+    v = succ[start]
+    while v != start:
+        ring.append(v)
+        v = succ[v]
+    if len(ring) != len(succ):
+        raise NotSimplyConnected("region boundary is not a single closed curve")
+    return ring
+
+
 def trace_boundary(r: Region) -> Word:
     """Trace the counterclockwise boundary of a simply connected region.
 
@@ -203,33 +235,11 @@ def trace_boundary(r: Region) -> Word:
     if not r.cells:
         raise EmptyRegion("cannot trace the boundary of an empty region")
     _check_connected(r)
-    edges: Set[Tuple[LatticePoint, LatticePoint]] = set()
-    for center in r.cells:
-        corners = cell_corners(center)
-        for i in range(6):
-            e = (corners[i], corners[(i + 1) % 6])
-            rev = (e[1], e[0])
-            if rev in edges:
-                edges.remove(rev)
-            else:
-                edges.add(e)
-    succ: Dict[LatticePoint, LatticePoint] = {}
-    for tail, head in edges:
-        if tail in succ:
-            raise NotSimplyConnected(f"boundary pinches at vertex {tail}")
-        succ[tail] = head
-    start = min(v for v in succ if class_of(v) == 0)
-    steps = []
-    v = start
-    while True:
-        w = succ[v]
-        steps.append(_STEP_FOR_VECTOR[w - v])
-        v = w
-        if v == start:
-            break
-    if len(steps) != len(edges):
-        raise NotSimplyConnected("region boundary is not a single closed curve")
-    return Word(tuple(steps), start)
+    ring = boundary_cycle(r.cells)
+    k = ring.index(min(v for v in ring if class_of(v) == 0))
+    ring = ring[k:] + ring[:k]
+    steps = [_STEP_FOR_VECTOR[w - v] for v, w in zip(ring, ring[1:] + ring[:1])]
+    return Word(tuple(steps), ring[0])
 
 
 def _check_connected(r: Region) -> None:

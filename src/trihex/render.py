@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .hexlattice import LatticePoint, Word
-from .regions import BenzelParams, Region, bounding_hexagon, cell_corners
-from .tilings import TileKind, Tiling, cells_of
+from .regions import BenzelParams, Region, boundary_cycle, bounding_hexagon, cell_corners
+from .tilings import TILE_OFFSETS, TileKind, Tiling
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -62,29 +62,20 @@ def _points_attr(pts: Sequence[Tuple[float, float]]) -> str:
     return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
 
 
+# Each kind's outline about an anchor at the origin.  boundary_cycle only
+# adds and compares offsets, so translating this ring by a placement's
+# anchor gives that tile's outline, still starting at its smallest vertex.
+_TILE_RINGS: Dict[TileKind, List[LatticePoint]] = {
+    kind: boundary_cycle(offsets) for kind, offsets in TILE_OFFSETS.items()
+}
+
+
 def _tile_outline(t: Tiling, spec: RenderSpec) -> List[str]:
     """One closed path per placement: the cell edges not shared between
     two cells of the same tile."""
     out = []
     for p in t.placements:
-        cells = cells_of(p)
-        edges = set()
-        for c in cells:
-            corners = cell_corners(c)
-            for i in range(6):
-                e = (corners[i], corners[(i + 1) % 6])
-                if (e[1], e[0]) in edges:
-                    edges.remove((e[1], e[0]))
-                else:
-                    edges.add(e)
-        succ = {tail: head for tail, head in edges}
-        start = min(succ)
-        ring = [start]
-        v = succ[start]
-        while v != start:
-            ring.append(v)
-            v = succ[v]
-        pts = [embed(q, spec.unit) for q in ring]
+        pts = [embed(p.anchor + d, spec.unit) for d in _TILE_RINGS[p.kind]]
         fill = _TILE_FILLS[p.kind]
         out.append(
             f'<polygon class="tile" points="{_points_attr(pts)}" '

@@ -10,6 +10,7 @@ stone count common to all stones-and-bones tilings of R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .hexlattice import (
     signed_area,
     step_for,
 )
-from .regions import BenzelParams, Region, despur, find_spurs, trace_boundary
+from .regions import BenzelParams, Region, find_spurs, trace_boundary
 
 
 class StepKind(Enum):
@@ -130,10 +131,6 @@ def classify_steps(w: Word) -> List[StepKind]:
         at = pos + 2 * idx
         kinds[at:at] = [StepKind.SPUR_SITE, StepKind.SPUR_SITE]
     return kinds
-
-
-def _third_letter(x: str, y: str) -> str:
-    return ({"a", "b", "c"} - {x, y}).pop()
 
 
 def _step_from(vertex: LatticePoint, letter: str) -> Step:
@@ -304,16 +301,10 @@ def is_pentagonal_pair(a: int, b: int) -> Optional[int]:
         return None
     # k(3k-1)/2 = lo  =>  24*lo + 1 = (6k-1)^2
     d = 24 * lo + 1
-    root = _isqrt(d)
+    root = math.isqrt(d)
     if root * root != d or root % 6 != 5:
         return None
     k = (root + 1) // 6
     if k >= 2 and hi == k * (3 * k + 1) // 2:
         return k
     return None
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)

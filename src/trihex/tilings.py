@@ -5,15 +5,15 @@ collinear centers) and the two stone chiralities (three pairwise-adjacent
 cells).  Counting is a forward frontier sweep over the cells in row order
 (2x - y, then y) that keeps only the live frontier states, each with an
 exact int count; the memory cap bounds the estimated bytes of those live
-states.  Enumeration is a separate plain backtracking engine over the same
+states.  Enumeration is a separate depth-first search over the same
 placement table, built in its own diagonal order (x - y, then x), which
-fixes its documented output order.
+fixes its documented output order; it keeps its own stack of frames, so
+neither engine recurses and region size never meets the recursion limit.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -154,7 +154,8 @@ def _counting_order(c: LatticePoint) -> Tuple[int, int]:
 
 class _PlacementTable:
     """Shared precomputation for the two engines: cells in a sweep order,
-    and placements bucketed by their first (lowest-index) covered cell."""
+    and placements bucketed by their first (lowest-index) covered cell,
+    each with its cells relative to that cell as mask bits."""
 
     def __init__(
         self,
@@ -165,12 +166,10 @@ class _PlacementTable:
         self.order = sorted(r.cells, key=key)
         self.index = {c: i for i, c in enumerate(self.order)}
         self.n = len(self.order)
-        self.by_first: List[List[Tuple[Placement, Tuple[int, int]]]] = [
-            [] for _ in range(self.n)
-        ]
+        self.by_first: List[List[Tuple[Placement, int]]] = [[] for _ in range(self.n)]
         for p in placements(r, tileset):
             i0, i1, i2 = sorted(self.index[c] for c in cells_of(p))
-            self.by_first[i0].append((p, (i1 - i0, i2 - i0)))
+            self.by_first[i0].append((p, 1 | (1 << (i1 - i0)) | (1 << (i2 - i0))))
 
 
 # Resident bytes per live counting state: a dict slot plus its int mask and
@@ -219,11 +218,8 @@ def count_tilings(
     if n % 3:
         return 0
     limit = _memo_limit_bytes(memo_limit_mb)
-    # A placement's cells relative to its first cell, as mask bits.
-    moves = [
-        [1 | (1 << d1) | (1 << d2) for _p, (d1, d2) in ps] for ps in table.by_first
-    ]
-    reach = max((d2 for ps in table.by_first for _p, (_d1, d2) in ps), default=0)
+    moves = [[bits for _p, bits in ps] for ps in table.by_first]
+    reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
     for i in range(n):
@@ -265,7 +261,9 @@ def enumerate_tilings(
     """All tilings of r by the given kinds, lazily, in a deterministic
     order (lexicographic in the choice made at each first-uncovered cell).
 
-    Plain backtracking; use count_tilings when only the number is needed.
+    Depth-first backtracking on an explicit stack, one frame per chosen
+    placement, so deep regions need no recursion; use count_tilings when
+    only the number is needed.
     """
     if limit is not None and limit <= 0:
         return
@@ -277,26 +275,23 @@ def enumerate_tilings(
     if n % 3:
         return
     by_first = table.by_first
-    chosen: List[Placement] = []
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 100))
-
-    def walk(i: int, mask: int) -> Iterator[Tiling]:
-        if i >= n:
-            yield Tiling(r, tuple(chosen))
-            return
-        for p, (d1, d2) in by_first[i]:
-            bits = (1 << d1) | (1 << d2)
-            if mask & bits:
-                continue
-            m2 = mask | bits | 1
-            j = (~m2 & (m2 + 1)).bit_length() - 1
-            chosen.append(p)
-            yield from walk(i + j, m2 >> j)
-            chosen.pop()
-
+    # A frame is (cell, mask, untried moves, the placement that led to it).
+    frames = [(0, 0, iter(by_first[0]), None)]
     emitted = 0
-    for t in walk(0, 0):
-        yield t
+    while frames:
+        i, mask, untried, _ = frames[-1]
+        for p, bits in untried:
+            if not mask & bits:
+                break
+        else:
+            frames.pop()
+            continue
+        m = mask | bits
+        j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+        if i + j < n:
+            frames.append((i + j, m >> j, iter(by_first[i + j]), p))
+            continue
+        yield Tiling(r, tuple(f[3] for f in frames[1:]) + (p,))
         emitted += 1
         if limit is not None and emitted >= limit:
             return

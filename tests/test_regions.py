@@ -8,7 +8,13 @@ from trihex.errors import (
     InvalidParams,
     NotSimplyConnected,
 )
-from trihex.hexlattice import LatticePoint, rotate120, signed_area, word_from_string
+from trihex.hexlattice import (
+    LatticePoint,
+    cross,
+    rotate120,
+    signed_area,
+    word_from_string,
+)
 from trihex.regions import (
     BenzelParams,
     Region,
@@ -58,6 +64,29 @@ def test_small_benzels():
     assert len(benzel(BenzelParams(2, 2))) == 3
     assert len(benzel(BenzelParams(3, 3))) == 6
     assert len(benzel(BenzelParams(5, 7))) == 27
+
+
+def test_benzels_match_the_corner_definition():
+    # Brute force over the hexagon's bounding box: the class -1 centers
+    # whose six corners all lie inside or on the closed bounding hexagon.
+    for p in all_valid_params(14):
+        hexagon = bounding_hexagon(p)
+        edges = [(v, w - v) for v, w in zip(hexagon, hexagon[1:] + hexagon[:1])]
+        xs = [v.x for v in hexagon]
+        ys = [v.y for v in hexagon]
+        expected = {
+            c
+            for c in (
+                LatticePoint(x, y)
+                for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1)
+            )
+            if (c.x + c.y) % 3 == 2
+            and all(
+                cross(d, q - v) >= 0 for q in cell_corners(c) for v, d in edges
+            )
+        }
+        assert benzel(p).cells == expected, (p.a, p.b)
 
 
 def test_benzel_rotation_invariance():

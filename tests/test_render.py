@@ -1,10 +1,21 @@
 """Unit tests for the SVG layer composition."""
 
+import re
+
 from trihex.hexlattice import LatticePoint
 from trihex.pentagonal import construct_tiling
-from trihex.regions import BenzelParams, benzel, region_from_cells, trace_boundary, triangle
+from trihex.regions import (
+    BenzelParams,
+    Region,
+    benzel,
+    boundary_cycle,
+    region_from_cells,
+    trace_boundary,
+    triangle,
+)
 from trihex.render import RenderSpec, embed, render_svg
 from trihex.shadow import shadow_word
+from trihex.tilings import Placement, TileKind, Tiling, cells_of
 
 
 def test_embed_unit_lengths():
@@ -28,6 +39,23 @@ def test_tiling_layer_counts():
     svg = render_svg(tiling=t)
     assert svg.count('class="cell"') == 27
     assert svg.count('class="tile"') == 9
+
+
+def test_tile_outline_is_the_boundary_cycle_of_its_cells():
+    for kind in TileKind:
+        for anchor in (LatticePoint(-2, -2), LatticePoint(7, 4)):
+            p = Placement(kind, anchor)
+            cells = cells_of(p)
+            svg = render_svg(tiling=Tiling(Region(frozenset(cells)), (p,)))
+            line = next(l for l in svg.splitlines() if 'class="tile"' in l)
+            drawn = [
+                tuple(map(float, pt.split(",")))
+                for pt in re.search(r'points="([^"]*)"', line).group(1).split()
+            ]
+            expected = [embed(q, 20.0) for q in boundary_cycle(cells)]
+            assert len(drawn) == len(expected), (kind, anchor)
+            for (x, y), (ex, ey) in zip(drawn, expected):
+                assert abs(x - ex) < 0.006 and abs(y - ey) < 0.006, (kind, anchor)
 
 
 def test_word_layers():

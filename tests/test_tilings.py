@@ -163,14 +163,19 @@ def test_count_does_not_depend_on_recursion_depth():
     while frame is not None:
         depth += 1
         frame = frame.f_back
+    # A straight bone strip: its one tiling is 3,000 placements deep.
+    strip = Region(frozenset(LatticePoint(-2 + i, -2 - i) for i in range(9000)))
     old = sys.getrecursionlimit()
     low = depth + 20
     sys.setrecursionlimit(low)
     try:
         assert count_tilings(r, BONES) == 42705
+        t = next(enumerate_tilings(strip, BONES, limit=1))
+        assert len(t.placements) == 3000
         assert sys.getrecursionlimit() == low
     finally:
         sys.setrecursionlimit(old)
+    assert validate(t)
 
 
 def test_enumerate_respects_limit():
