@@ -35,6 +35,7 @@ from .render import RenderSpec, render_svg
 from .shadow import (
     DEFAULT_SEED,
     ShadowSeed,
+    area_formula,
     cl_invariant_formula,
     cl_invariant_path,
     is_pentagonal_pair,
@@ -164,8 +165,7 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
                 p = BenzelParams(a, b)
             except TrihexError:
                 continue
-            region = benzel(p)
-            count = len(region)
+            count = area_formula(p)
             k = is_pentagonal_pair(a, b)
             row = {
                 "a": a,
@@ -176,7 +176,7 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
                 "pentagonalK": k,
             }
             if args.search and count % 3 == 0 and count <= args.search_cap:
-                row["boneTileable"] = count_tilings(region, BONES) > 0
+                row["boneTileable"] = count_tilings(benzel(p), BONES) > 0
             rows.append(row)
     return rows
 

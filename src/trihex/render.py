@@ -119,11 +119,12 @@ def render_svg(
             )
 
     if tiling is not None and spec.show_tiling:
-        tiles = _tile_outline(tiling, spec)
-        for el in tiles:
-            elements.append(el)
-        for c in tiling.region.sorted_cells():
-            points += [embed(q, spec.unit) for q in cell_corners(c)]
+        elements += _tile_outline(tiling, spec)
+        # The viewBox takes only extremes, so cell corners the cell layer
+        # already added need not be added again.
+        if not (spec.show_cells and tiling.region == region):
+            for c in tiling.region.sorted_cells():
+                points += [embed(q, spec.unit) for q in cell_corners(c)]
 
     for word, cls, stroke, show in (
         (boundary, "boundary", spec.boundary_stroke, spec.show_boundary),

@@ -9,6 +9,9 @@ states.  Enumeration is a separate depth-first search over the same
 placement table, built in its own diagonal order (x - y, then x), which
 fixes its documented output order; it keeps its own stack of frames, so
 neither engine recurses and region size never meets the recursion limit.
+It records each frontier state found to have no completion and never
+enters one again; that dead-state set obeys the same memory cap, and
+once full it stops growing while the search goes on unchanged.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ class TileKind(Enum):
 # Bone axes are the center-difference directions 1 - w = (1,-1),
 # w - w^2 = (1,2), and w^2 - 1 = (-2,-1) re-anchored; the stone chirality
 # labels are pinned by the shadow-area criterion (+3 for StoneR).
+# LatticePoint is a NamedTuple, so a plain (x, y) tuple hashes and compares
+# equal to the point: the hot loops below look cells up by plain tuples
+# built from these offsets instead of adding points.
 TILE_OFFSETS: Dict[TileKind, Tuple[LatticePoint, ...]] = {
     TileKind.BONE_AB: (LatticePoint(0, 0), LatticePoint(1, -1), LatticePoint(2, -2)),
     TileKind.BONE_BC: (LatticePoint(0, 0), LatticePoint(1, 2), LatticePoint(2, 4)),
@@ -103,13 +109,15 @@ class Tiling:
 def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
     """All placements of the given kinds lying entirely inside r, in
     deterministic (kind, anchor) order."""
-    cells = set(r.cells)
+    cells = r.cells
+    anchors = sorted(cells)
     kinds = sorted(set(tileset), key=_KIND_INDEX.__getitem__)
     out: List[Placement] = []
     for kind in kinds:
-        offs = TILE_OFFSETS[kind]
-        for anchor in sorted(cells):
-            if all(anchor + o in cells for o in offs):
+        _, (x1, y1), (x2, y2) = TILE_OFFSETS[kind]  # the first is (0, 0)
+        for anchor in anchors:
+            x, y = anchor
+            if (x + x1, y + y1) in cells and (x + x2, y + y2) in cells:
                 out.append(Placement(kind, anchor))
     return out
 
@@ -121,16 +129,22 @@ def validate(t: Tiling) -> bool:
 
 def validation_error(t: Tiling) -> Optional[str]:
     """None if t validates, else a diagnostic for the first violation."""
-    region_cells = set(t.region.cells)
+    region_cells = t.region.cells
     covered: set = set()
     for p in t.placements:
-        for c in cells_of(p):
+        ax, ay = p.anchor
+        for ox, oy in TILE_OFFSETS[p.kind]:
+            c = (ax + ox, ay + oy)
             if c not in region_cells:
-                return f"{p.kind.value} at {p.anchor} spills outside the region at {c}"
+                return (
+                    f"{p.kind.value} at {p.anchor} spills outside the region "
+                    f"at {LatticePoint(*c)}"
+                )
             if c in covered:
-                return f"cell {c} covered twice ({p.kind.value} at {p.anchor})"
+                return f"cell {LatticePoint(*c)} covered twice ({p.kind.value} at {p.anchor})"
             covered.add(c)
-    if covered != region_cells:
+    # Every covered cell lies in the region, once, so equal sizes mean equal sets.
+    if len(covered) != len(region_cells):
         missing = min(region_cells - covered)
         return f"cell {missing} is uncovered"
     return None
@@ -164,18 +178,24 @@ class _PlacementTable:
         key: Callable[[LatticePoint], Tuple[int, int]],
     ):
         self.order = sorted(r.cells, key=key)
-        self.index = {c: i for i, c in enumerate(self.order)}
+        self.index = index = {c: i for i, c in enumerate(self.order)}
         self.n = len(self.order)
         self.by_first: List[List[Tuple[Placement, int]]] = [[] for _ in range(self.n)]
         for p in placements(r, tileset):
-            i0, i1, i2 = sorted(self.index[c] for c in cells_of(p))
-            self.by_first[i0].append((p, 1 | (1 << (i1 - i0)) | (1 << (i2 - i0))))
+            x, y = p.anchor
+            _, (x1, y1), (x2, y2) = TILE_OFFSETS[p.kind]
+            i0, i1, i2 = index[p.anchor], index[x + x1, y + y1], index[x + x2, y + y2]
+            lo = min(i0, i1, i2)
+            self.by_first[lo].append((p, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
 
 
 # Resident bytes per live counting state: a dict slot plus its int mask and
 # int count.  The (22, 26) bone count measured 76-106 B between 0.1 M and
 # 13 M live states (peak RSS over the import baseline); rounding the top of
-# that range up keeps the cap binding before memory does.
+# that range up keeps the cap binding before memory does.  Enumeration's
+# dead-state set is charged the same; its entries (a set slot and an int
+# key) measured 72 B each over the 105,578 dead states of the (12, 15)
+# bone enumeration.
 _BYTES_PER_STATE = 110
 
 
@@ -264,6 +284,17 @@ def enumerate_tilings(
     Depth-first backtracking on an explicit stack, one frame per chosen
     placement, so deep regions need no recursion; use count_tilings when
     only the number is needed.
+
+    A frame's state is the first uncovered cell i and the window mask of
+    covered cells from i on, as in count_tilings; the tilings below a
+    frame depend on that state alone, not on the path to it.  A state
+    whose frame is exhausted without yielding a tiling is recorded as
+    dead, and the search never enters a dead state again.  Only empty
+    subtrees are skipped, so the output sequence is that of plain
+    backtracking, and nothing is computed ahead of the first tiling.  The
+    dead set obeys the counting cap (TRIBONE_MEMO_LIMIT_MB, estimated at
+    the same bytes per state): once full it stops growing and the search
+    goes on without recording more, never raising for lack of room.
     """
     if limit is not None and limit <= 0:
         return
@@ -274,22 +305,31 @@ def enumerate_tilings(
         return
     if n % 3:
         return
+    cap = _memo_limit_bytes(None)
+    room = None if cap is None else cap // _BYTES_PER_STATE
     by_first = table.by_first
-    # A frame is (cell, mask, untried moves, the placement that led to it).
-    frames = [(0, 0, iter(by_first[0]), None)]
+    shift = n.bit_length()  # the key mask << shift | i is injective for i <= n
+    dead: set = set()
+    # A frame is (cell, mask, untried moves, the placement that led to it,
+    # the number of tilings yielded before it was pushed).
+    frames = [(0, 0, iter(by_first[0]), None, 0)]
     emitted = 0
     while frames:
-        i, mask, untried, _ = frames[-1]
+        i, mask, untried, _, before = frames[-1]
         for p, bits in untried:
             if not mask & bits:
                 break
         else:
             frames.pop()
+            if emitted == before and (room is None or len(dead) < room):
+                dead.add(mask << shift | i)
             continue
         m = mask | bits
         j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
         if i + j < n:
-            frames.append((i + j, m >> j, iter(by_first[i + j]), p))
+            m >>= j
+            if m << shift | (i + j) not in dead:
+                frames.append((i + j, m, iter(by_first[i + j]), p, emitted))
             continue
         yield Tiling(r, tuple(f[3] for f in frames[1:]) + (p,))
         emitted += 1

@@ -54,8 +54,8 @@ def valid_params(bound: int):
 
 
 def test_01_cell_counts_match_the_closed_form():
-    # All valid (a, b) up to 30; budget ~3 s.
-    for p in valid_params(30):
+    # All valid (a, b) up to 40; budget ~3 s.
+    for p in valid_params(40):
         assert len(benzel(p)) == area_formula(p), (p.a, p.b)
 
 

@@ -33,6 +33,7 @@ from trihex.tilings import (
     tiling_from_json,
     tiling_to_json,
     validate,
+    validation_error,
 )
 
 ANCHOR = LatticePoint(-2, -2)
@@ -98,6 +99,72 @@ def test_validate_catches_problems():
     # Spill outside the region:
     outside = Placement(TileKind.BONE_AB, LatticePoint(10, 10))
     assert not validate(Tiling(r2, (outside,)))
+
+
+def test_validation_error_messages():
+    r = benzel(BenzelParams(3, 3))
+    ab = Placement(TileKind.BONE_AB, LatticePoint(0, 2))
+    bc = Placement(TileKind.BONE_BC, LatticePoint(-2, -2))
+    spill = Placement(TileKind.BONE_AB, LatticePoint(2, 0))
+    assert validation_error(Tiling(r, (spill,))) == (
+        "boneAB at LatticePoint(x=2, y=0) spills outside the region at "
+        "LatticePoint(x=3, y=-1)"
+    )
+    assert validation_error(Tiling(r, (bc, ab))) == (
+        "cell LatticePoint(x=0, y=2) covered twice (boneBC at LatticePoint(x=-2, y=-2))"
+    )
+    assert validation_error(Tiling(r, (ab,))) == "cell LatticePoint(x=-2, y=-2) is uncovered"
+
+
+def _reference_tilings(r, tileset):
+    """Plain backtracking with no pruning: at the first uncovered cell in
+    the (x - y, x) order, try in (kind, anchor) order every placement that
+    covers it and fits, and record the tiling when no cell is left."""
+    order = sorted(r.cells, key=lambda c: (c.x - c.y, c.x))
+    covering = {c: [] for c in order}
+    for p in placements(r, tileset):
+        for c in cells_of(p):
+            covering[c].append((p, cells_of(p)))
+    covered, chosen, out = set(), [], []
+
+    def extend(k):
+        while k < len(order) and order[k] in covered:
+            k += 1
+        if k == len(order):
+            out.append(Tiling(r, tuple(chosen)))
+            return
+        for p, cs in covering[order[k]]:
+            if covered.isdisjoint(cs):
+                covered.update(cs)
+                chosen.append(p)
+                extend(k + 1)
+                chosen.pop()
+                covered.difference_update(cs)
+
+    extend(0)
+    return out
+
+
+def test_enumeration_matches_plain_backtracking():
+    # The dead-state memo prunes only subtrees with no tiling, so the
+    # sequence must equal that of backtracking without it.
+    shapes = [benzel(p) for p in _valid_params(8)] + [triangle(n) for n in range(1, 8)]
+    for r in shapes:
+        for tileset in (BONES, STONES_AND_BONES):
+            got = [t.placements for t in enumerate_tilings(r, tileset)]
+            expected = [t.placements for t in _reference_tilings(r, tileset)]
+            assert got == expected, (len(r), tileset)
+
+
+def test_enumeration_under_a_tiny_memo_cap(monkeypatch):
+    # Past the cap the dead-state set stops growing; the search goes on
+    # as plain backtracking, with the same sequence and no ResourceLimit.
+    r = benzel(BenzelParams(7, 7))
+    expected = [t.placements for t in _reference_tilings(r, STONES_AND_BONES)]
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "0.001")
+    got = [t.placements for t in enumerate_tilings(r, STONES_AND_BONES)]
+    assert got == expected
+    assert len(got) == 5766
 
 
 def test_count_small_cases():
