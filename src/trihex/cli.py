@@ -2,11 +2,13 @@
 
 Commands: benzel, triangle, shadow, tile (construct|count|enumerate|freq),
 scan, render.  Exit codes: 0 success, 2 input error, 3 resource limit.
-All numeric output is exact decimal.  `tile count` and `tile freq` run the
-forward frontier sweep of trihex.tilings.count_tilings; --memo-limit-mb
-caps the estimated bytes of its live states.  Hitting the cap prints
-"resource-limit" on stdout, never a count of 0, and on stderr the cell
-the sweep reached, its live states and their estimated bytes.
+All numeric output is exact decimal.  `tile count` runs the forward
+frontier sweep of trihex.tilings.count_tilings, and --memo-limit-mb caps
+the estimated bytes of its live states; `tile freq` runs that sweep
+keeping every state plus a backward pass, and the cap bounds all the
+states it holds.  Hitting the cap prints "resource-limit" on stdout,
+never a count of 0, and on stderr the cell the sweep reached, its states
+and their estimated bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +72,16 @@ def _parse_point(text: str) -> LatticePoint:
         return LatticePoint(int(x_str), int(y_str))
     except ValueError:
         raise TrihexError(f"expected 'x,y' integers, got {text!r}") from None
+
+
+def _parse_placement(text: str) -> Placement:
+    kind_str, sep, rest = text.partition(",")
+    if not sep:
+        raise TrihexError(f"expected 'KIND,X,Y', got {text!r}")
+    kinds = {k.value: k for k in TileKind}
+    if kind_str not in kinds:
+        raise TrihexError(f"unknown tile kind {kind_str!r}")
+    return Placement(kinds[kind_str], _parse_point(rest))
 
 
 def _load_region(args: argparse.Namespace) -> Region:
@@ -148,11 +160,7 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         for t in enumerate_tilings(region, tileset, args.limit):
             print(json.dumps(tiling_to_json(t)))
     else:  # freq
-        kind_str, rest = args.placement.split(",", 1)
-        kinds = {k.value: k for k in TileKind}
-        if kind_str not in kinds:
-            raise TrihexError(f"unknown tile kind {kind_str!r}")
-        p = Placement(kinds[kind_str], _parse_point(rest))
+        p = _parse_placement(args.placement)
         print(placement_frequency(region, tileset, p, args.memo_limit_mb))
     return 0
 

@@ -5,7 +5,14 @@ collinear centers) and the two stone chiralities (three pairwise-adjacent
 cells).  Counting is a forward frontier sweep over the cells in row order
 (2x - y, then y) that keeps only the live frontier states, each with an
 exact int count; the memory cap bounds the estimated bytes of those live
-states.  Enumeration is a separate depth-first search over the same
+states.  Placement frequencies run the same sweep keeping every state,
+then a backward pass that counts each state's completions; a placement's
+frequency sums, over the moves that place it, the partial tilings before
+the move times the completions after it.  The table of all frequencies
+of the latest region and tileset asked about is kept, and here the cap
+bounds every state held, not just the live frontier.  A placement whose
+kind is outside the tileset is answered by counting the region less its
+cells.  Enumeration is a separate depth-first search over the same
 placement table, built in its own diagonal order (x - y, then x), which
 fixes its documented output order; it keeps its own stack of frames, so
 neither engine recurses and region size never meets the recursion limit.
@@ -19,7 +26,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
 from .hexlattice import LatticePoint, class_of
@@ -36,6 +43,12 @@ class TileKind(Enum):
     BONE_CA = "boneCA"
     STONE_R = "stoneR"
     STONE_L = "stoneL"
+
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; it runs in C, unlike Enum's hash of the name,
+    # and kinds are hashed once per placement on every hot path.  No
+    # output iterates a set of kinds without sorting it.
+    __hash__ = object.__hash__
 
     @property
     def is_stone(self) -> bool:
@@ -211,6 +224,60 @@ def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
     return int(memo_limit_mb * 1024 * 1024)
 
 
+def _over_cap(i: int, n: int, states: int, limit: int, kept: bool) -> ResourceLimit:
+    what, held = ("the frequency table", "held") if kept else ("counting", "live")
+    return ResourceLimit(
+        f"{what} stopped at cell {i} of {n}: {states} {held} states, "
+        f"about {states * _BYTES_PER_STATE / 2**20:.0f} MB estimated, "
+        f"over the cap of {limit / 2**20:g} MB"
+    )
+
+
+def _sweep(
+    table: _PlacementTable, limit: Optional[int], keep: bool
+) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]], int]:
+    """The forward frontier sweep behind count_tilings and the frequency
+    table.  Returns the buckets (bucket i maps the window mask of each
+    state at cell i to its count of partial tilings, None where no state
+    arose), each cell's move masks and the window reach.  Without keep a
+    bucket is dropped once popped, so only bucket n is left; with keep
+    every bucket stays, and the cap is charged for all of them."""
+    n = table.n
+    moves = [[bits for _p, bits in ps] for ps in table.by_first]
+    reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
+    buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
+    buckets[0] = {0: 1}
+    held = 0  # states of the popped buckets still held
+    for i in range(n):
+        layer = buckets[i]
+        if layer is None:
+            continue
+        if keep:
+            held += len(layer)
+        else:
+            buckets[i] = None
+            held = len(layer)
+        for mask, count in layer.items():
+            for bits in moves[i]:
+                if mask & bits:
+                    continue
+                m = mask | bits
+                j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+                m >>= j
+                nxt = buckets[i + j]
+                if nxt is None:
+                    buckets[i + j] = {m: count}
+                else:
+                    nxt[m] = nxt.get(m, 0) + count
+        if limit is not None:
+            live = held + sum(
+                len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
+            )
+            if live * _BYTES_PER_STATE > limit:
+                raise _over_cap(i, n, live, limit, keep)
+    return buckets, moves, reach
+
+
 def count_tilings(
     r: Region,
     tileset: Sequence[TileKind],
@@ -237,40 +304,66 @@ def count_tilings(
         return 1
     if n % 3:
         return 0
+    last = _sweep(table, _memo_limit_bytes(memo_limit_mb), keep=False)[0][n]
+    return last.get(0, 0) if last is not None else 0
+
+
+def _frequency_table(
+    r: Region, tileset: Sequence[TileKind], memo_limit_mb: Optional[float]
+) -> Dict[Placement, int]:
+    """The frequency of every placement in placements(r, tileset), from the
+    kept forward sweep and one backward pass over the same states."""
+    table = _PlacementTable(r, tileset, _counting_order)
+    n = table.n
+    freq = {p: 0 for ps in table.by_first for p, _bits in ps}
+    if n % 3:
+        return freq
     limit = _memo_limit_bytes(memo_limit_mb)
-    moves = [[bits for _p, bits in ps] for ps in table.by_first]
-    reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
-    buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
-    buckets[0] = {0: 1}
-    for i in range(n):
-        layer = buckets[i]
+    forward, moves, reach = _sweep(table, limit, keep=True)
+    if forward[n] is None:
+        return freq
+    held = sum(len(b) for b in forward if b is not None)  # forward states left
+    # backward[i] maps each state at cell i that has a completion to the
+    # number of its completions; a move from a state with F partial tilings
+    # into a child with G completions lies in F * G tilings.
+    backward: List[Optional[Dict[int, int]]] = [None] * (n + 1)
+    backward[n] = {0: 1}
+    for i in range(n - 1, -1, -1):
+        layer = forward[i]
         if layer is None:
             continue
-        buckets[i] = None
-        for mask, count in layer.items():
-            for bits in moves[i]:
+        forward[i] = None
+        bits_i = moves[i]
+        sums = [0] * len(bits_i)
+        out = {}
+        for mask, f in layer.items():
+            g = 0
+            for k, bits in enumerate(bits_i):
                 if mask & bits:
                     continue
                 m = mask | bits
                 j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
-                m >>= j
-                nxt = buckets[i + j]
-                if nxt is None:
-                    buckets[i + j] = {m: count}
-                else:
-                    nxt[m] = nxt.get(m, 0) + count
+                c = backward[i + j].get(m >> j)
+                if c:
+                    g += c
+                    sums[k] += f * c
+            if g:
+                out[mask] = g
+        backward[i] = out
         if limit is not None:
-            live = len(layer) + sum(
-                len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
+            live = held + sum(
+                len(b) for b in backward[i : i + reach + 2] if b is not None
             )
             if live * _BYTES_PER_STATE > limit:
-                raise ResourceLimit(
-                    f"counting stopped at cell {i} of {n}: {live} live states, "
-                    f"about {live * _BYTES_PER_STATE / 2**20:.0f} MB estimated, "
-                    f"over the cap of {limit / 2**20:g} MB"
-                )
-    last = buckets[n]
-    return last.get(0, 0) if last is not None else 0
+                raise _over_cap(i, n, live, limit, kept=True)
+        held -= len(layer)
+        # Moves reach at most reach + 1 cells ahead, so from here on no
+        # move lands as far as cell i + reach + 1.
+        if i + reach + 1 <= n:
+            backward[i + reach + 1] = None
+        for (p, _bits), total in zip(table.by_first[i], sums):
+            freq[p] = total
+    return freq
 
 
 def enumerate_tilings(
@@ -367,21 +460,53 @@ def _require_valid(t: Tiling) -> None:
         raise InvalidTiling(err)
 
 
+# The frequency table of the (region, tileset) asked about last, as one
+# (key, table) pair that is replaced whole, never updated in place.
+_last_frequencies: Optional[
+    Tuple[Tuple[Region, FrozenSet[TileKind]], Dict[Placement, int]]
+] = None
+
+
 def placement_frequency(
     r: Region,
     tileset: Sequence[TileKind],
     p: Placement,
     memo_limit_mb: Optional[float] = None,
 ) -> int:
-    """Number of tilings of r (by the tileset) that contain p: force the
-    placement and count tilings of the remainder."""
-    region_cells = set(r.cells)
-    covered = cells_of(p)
-    for c in covered:
-        if c not in region_cells:
+    """Number of tilings of r (by the tileset) that contain p.
+
+    The first call for a region and tileset builds the frequency of every
+    placement at once: the counting sweep runs forward keeping every
+    state, then a backward pass counts each state's completions, and a
+    move's frequency is the sum over its uses of the partial tilings
+    before it times the completions after it.  The table of the latest
+    (region, tileset) is kept, so further calls on them are lookups.
+
+    The table holds every state of the sweep, not only the live frontier,
+    and memo_limit_mb (or TRIBONE_MEMO_LIMIT_MB) caps the estimated bytes
+    of the states held while it is built; past the cap it raises
+    ResourceLimit and keeps nothing.  A call answered from the kept table
+    builds nothing, so the cap does not bind it.
+
+    A placement whose kind is not in the tileset is in no such tiling; it
+    is answered with the number of tilings of the region less its cells,
+    by a count of that remainder.  A placement not inside r raises
+    InvalidPlacement.
+    """
+    global _last_frequencies
+    ax, ay = p.anchor
+    for ox, oy in TILE_OFFSETS[p.kind]:
+        if (ax + ox, ay + oy) not in r.cells:
             raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
-    rest = Region(frozenset(region_cells - set(covered)))
-    return count_tilings(rest, tileset, memo_limit_mb)
+    if p.kind not in tileset:
+        rest = Region(r.cells - frozenset(cells_of(p)))
+        return count_tilings(rest, tileset, memo_limit_mb)
+    key = (r, frozenset(tileset))
+    last = _last_frequencies
+    if last is None or last[0] != key:
+        last = (key, _frequency_table(r, tileset, memo_limit_mb))
+        _last_frequencies = last
+    return last[1][p]
 
 
 # -- serialization -----------------------------------------------------------

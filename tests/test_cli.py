@@ -188,3 +188,28 @@ def test_render_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--region", str(f))
     assert code == 2
     assert "error" in err
+
+
+def test_tile_freq_placement_without_coordinates(capsys):
+    for placement in ("boneAB", "boneAB,1"):
+        code, out, err = run(
+            capsys, "tile", "freq", "--benzel", "5,7", "--tiles", "bones",
+            "--placement", placement,
+        )
+        assert code == 2, placement
+        assert out == "" and err.startswith("error: "), placement
+
+
+def test_tile_freq_resource_limit(capsys):
+    # A call on another region first, so no earlier result for (12,15) is at hand.
+    assert run(
+        capsys, "tile", "freq", "--benzel", "5,7", "--tiles", "bones",
+        "--placement", "boneAB,-1,0",
+    )[0] == 0
+    code, out, err = run(
+        capsys, "tile", "freq", "--benzel", "12,15", "--tiles", "bones",
+        "--placement", "boneAB,-1,0", "--memo-limit-mb", "0.001",
+    )
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert "resource-limit: " in err

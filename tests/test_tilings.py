@@ -316,3 +316,90 @@ def test_tiling_json_rejects_bad_input():
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB"}]})
     with pytest.raises(FormatError):
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]})
+
+
+# -- placement frequencies ----------------------------------------------------
+
+def _reference_frequency(r, tileset, p):
+    """Force p and count the rest: the definition, with no table."""
+    return count_tilings(Region(r.cells - frozenset(cells_of(p))), tileset)
+
+
+def test_frequency_of_a_kind_outside_the_tileset():
+    r = benzel(BenzelParams(4, 4))
+    stones = placements(r, STONES)
+    assert stones
+    for p in stones:
+        assert placement_frequency(r, BONES, p) == _reference_frequency(r, BONES, p)
+    assert {placement_frequency(r, BONES, p) for p in stones} != {0}
+
+
+def test_frequency_of_a_placement_not_inside_the_region():
+    r = benzel(BenzelParams(5, 7))
+    inside = placements(r, BONES)[0]
+    # Shift the anchor by a class-0 vector until one cell leaves the region.
+    for dx, dy in ((1, 2), (2, 1), (1, -1), (-1, -2), (-2, -1), (-1, 1)):
+        shifted = Placement(inside.kind, LatticePoint(inside.anchor.x + 3 * dx, inside.anchor.y + 3 * dy))
+        if not all(c in r for c in cells_of(shifted)):
+            with pytest.raises(InvalidPlacement):
+                placement_frequency(r, BONES, shifted)
+    with pytest.raises(InvalidPlacement):
+        placement_frequency(r, STONES, Placement(TileKind.STONE_R, LatticePoint(41, 45)))
+
+
+def test_frequency_when_the_cell_count_is_not_a_multiple_of_three():
+    r = triangle(4)
+    assert len(r) % 3
+    ps = placements(r, STONES_AND_BONES)
+    assert ps
+    assert {placement_frequency(r, STONES_AND_BONES, p) for p in ps} == {0}
+    assert {placement_frequency(r, BONES, p) for p in ps} == {0}
+
+
+def test_frequency_is_never_stale():
+    a = benzel(BenzelParams(5, 7))
+    b = benzel(BenzelParams(4, 5))
+    a_copy = Region(frozenset(LatticePoint(c.x, c.y) for c in a.cells))
+    assert a_copy == a and a_copy is not a
+    calls = []
+    for region in (a, b):
+        for tileset in (BONES, STONES_AND_BONES):
+            for p in placements(region, STONES_AND_BONES):
+                calls.append((region, tileset, p))
+    expected = [_reference_frequency(r, ts, p) for r, ts, p in calls]
+    rng = random.Random(5)
+    order = list(range(len(calls))) * 2
+    rng.shuffle(order)
+    for k in order:
+        r, ts, p = calls[k]
+        if r is a and k % 2:
+            r = a_copy
+        assert placement_frequency(r, ts, p) == expected[k], (len(r), ts, p)
+
+
+def test_frequency_cap_raises_resource_limit():
+    r = benzel(BenzelParams(12, 15))
+    p = placements(r, BONES)[0]
+    # A call on another region first, so no earlier result for r is at hand.
+    placement_frequency(benzel(BenzelParams(3, 3)), BONES, placements(benzel(BenzelParams(3, 3)), BONES)[0])
+    for _ in range(2):  # a failed call leaves nothing behind to answer the next
+        with pytest.raises(ResourceLimit, match=r"cell \d+ of \d+"):
+            placement_frequency(r, BONES, p, memo_limit_mb=0.01)
+
+
+def _assert_frequencies_match_recount(r, tileset):
+    ps = placements(r, tileset)
+    got = [placement_frequency(r, tileset, p) for p in ps]
+    assert got == [_reference_frequency(r, tileset, p) for p in ps], (len(r), tileset)
+    assert sum(got) == count_tilings(r, tileset) * len(r) // 3
+
+
+def test_frequencies_match_the_recount():
+    shapes = [benzel(p) for p in _valid_params(8)] + [triangle(n) for n in range(1, 8)]
+    for shape in shapes:
+        rotated = Region(frozenset(rotate120(c) for c in shape.cells))
+        moved = Region(frozenset(LatticePoint(c.x + 5, c.y - 2) for c in shape.cells))
+        for r in (shape, rotated, moved):
+            for tileset in (BONES, STONES_AND_BONES):
+                _assert_frequencies_match_recount(r, tileset)
+
