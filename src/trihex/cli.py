@@ -290,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--triangle", type=int, metavar="N")
     src.add_argument("--word", metavar="FILE", help="word text file")
     p.add_argument("--basepoint", metavar="X,Y")
-    p.add_argument("--seed", metavar="LL", help="two distinct letters from abc")
+    p.add_argument(
+        "--seed",
+        metavar="LL",
+        help="two distinct letters from abc; only the first picks the shadow",
+    )
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("tile", help="construct, count, or enumerate tilings")

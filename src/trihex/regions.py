@@ -264,10 +264,14 @@ def _rep(pattern: str, count: int) -> str:
 def boundary_word_closed_form(p: BenzelParams) -> Word:
     """The closed-form boundary word of the (a, b)-benzel.
 
-    Class 0 words are spur-free and start at the rightmost corner of the
-    bounding hexagon; class 1 and -1 words include the corner spurs and
-    start at a class-1 point (for class 1, one step a left of the
-    rightmost corner; for class -1, the rightmost corner itself).
+    Class 1 words are spur-free; class 0 and -1 words each carry three
+    corner spur pairs.  Every class -1 word, and every degenerate class 0
+    word (s or t = 0), has one of those pairs across the wrap (its last
+    and first steps); the degenerate class 0 words also expose a further
+    spur once their pairs are removed.  Class 0 words start at the
+    rightmost corner of the bounding hexagon; class 1 and -1 words start
+    at a class-1 point (for class 1, one step a left of the rightmost
+    corner; for class -1, the rightmost corner itself).
     """
     s, t, c = p.s, p.t, p.cls
     if c == 0:
@@ -312,7 +316,8 @@ def boundary_word_closed_form(p: BenzelParams) -> Word:
 def find_spurs(w: Word) -> List[int]:
     """Positions i (cyclic) where step i+1 immediately retraces step i.
 
-    Raises NonIsolatedSpur if two such pairs overlap or touch.
+    Raises NonIsolatedSpur if two such pairs overlap (share a step); pairs
+    side by side at one vertex are allowed.
     """
     n = len(w.steps)
     hits = [i for i in range(n) if w.steps[(i + 1) % n] is w.steps[i].inverse]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from .errors import InvalidParams, NonIsolatedSpur, ShadowNotClosed
 from .hexlattice import (
@@ -37,8 +37,13 @@ class StepKind(Enum):
 
 @dataclass(frozen=True)
 class ShadowSeed:
-    """The free choices when starting a shadow path: the letters of its
-    first step (3 options) and second step (2 non-backtracking options)."""
+    """The letters a shadow path is started with: a first letter (3
+    options) and a non-backtracking second letter (2 options).
+
+    Only the first letter picks the shadow (see shadow_word), so the six
+    ALL_SEEDS give three distinct shadows, one per first letter; the
+    second letter is validated but never steers the path.
+    """
 
     first: str
     second: str
@@ -76,60 +81,34 @@ class InvariantValue:
         return self.I % 3 == 0
 
 
-def _despur_with_sites(w: Word) -> Tuple[Word, List[Tuple[int, str]]]:
-    """Remove the (isolated) spurs of w, returning the shortened word and,
-    for each removed pair, its position in shortened-word indexing together
-    with the letter of the spur edge.
+def _spur_steps(w: Word) -> FrozenSet[int]:
+    """Indices of the steps of w that lie in spur pairs.
 
-    Unlike plain despurring this insists the spurs are isolated, since the
-    shadowing rules only cover that case.
+    The shadowing rules cover isolated spurs only, so this raises
+    NonIsolatedSpur when two pairs overlap or when dropping the pairs
+    exposes another one.
     """
     spurs = find_spurs(w)  # raises NonIsolatedSpur on overlap
     if not spurs:
-        return w, []
+        return frozenset()
     n = len(w.steps)
-    drop = set()
-    base = w.basepoint
-    for i in spurs:
-        drop.add(i)
-        drop.add((i + 1) % n)
-        if i == n - 1:
-            base = base + w.steps[0].vector
-    keep = [i for i in range(n) if i not in drop]
-    steps = tuple(w.steps[i] for i in keep)
-    short = Word(steps, base)
-    if find_spurs(short):
+    drop = frozenset(spurs).union((i + 1) % n for i in spurs)
+    kept = [s for i, s in enumerate(w.steps) if i not in drop]
+    if any(s is kept[j - 1].inverse for j, s in enumerate(kept)):
         raise NonIsolatedSpur("spur removal exposed another spur")
-    sites = []
-    for i in sorted(spurs):
-        if i == n - 1:
-            # the wrap pair sits between the shortened word's last and
-            # first steps
-            sites.append((len(steps), w.steps[i].letter))
-        else:
-            # surviving steps before position i = where the pair sat
-            sites.append((sum(1 for k in keep if k < i), w.steps[i].letter))
-    return short, sites
-
-
-def _classify_spurfree(steps: Tuple[Step, ...]) -> List[StepKind]:
-    n = len(steps)
-    out = []
-    for i in range(n):
-        prev = steps[(i - 1) % n]
-        nxt = steps[(i + 1) % n]
-        out.append(StepKind.WEAVE if prev.letter == nxt.letter else StepKind.WIND)
-    return out
+    return drop
 
 
 def classify_steps(w: Word) -> List[StepKind]:
     """One StepKind per step, cyclically; spur steps get SPUR_SITE and
-    their neighbors are classified along the shortened path."""
-    short, sites = _despur_with_sites(w)
-    kinds = _classify_spurfree(short.steps)
-    for idx, (pos, _letter) in enumerate(sorted(sites)):
-        at = pos + 2 * idx
-        kinds[at:at] = [StepKind.SPUR_SITE, StepKind.SPUR_SITE]
+    every other step is classified by its nearest non-spur neighbours."""
+    spur = _spur_steps(w)
+    free = [i for i in range(len(w.steps)) if i not in spur]
+    kinds = [StepKind.SPUR_SITE] * len(w.steps)
+    for j, i in enumerate(free):
+        prev = w.steps[free[j - 1]]
+        nxt = w.steps[free[(j + 1) % len(free)]]
+        kinds[i] = StepKind.WEAVE if prev.letter == nxt.letter else StepKind.WIND
     return kinds
 
 
@@ -181,12 +160,16 @@ def shadow_word(
 
     The basepoint must share w's basepoint class (both 0 or both 1).
     Construction: put the face-alternating edge labeling on the hexagon
-    graph; the seed (together with w's first two distinct step letters)
-    fixes a bijection between step letters and labels, and the shadow then
-    traverses, step by step, the edge carrying its step's label.  The
-    result winds where w weaves and weaves where w winds, and reproduces
-    w's spur pairs at the same positions.  Closure is asserted, not
-    assumed; failure means w was not a valid hexagon-graph boundary word.
+    graph; the seed's first letter (together with w's first non-spur
+    letter) fixes a bijection between step letters and labels, and the
+    shadow then traverses, step by step, the edge carrying its step's
+    label.  The result winds where w weaves and weaves where w winds.  An
+    edge carries the same label seen from either end, so each spur pair of
+    w becomes a spur pair along one edge at the same positions.  Spurs
+    must be isolated (NonIsolatedSpur otherwise); a word made only of spur
+    pairs encloses nothing and gives the empty word at the basepoint.
+    Closure is asserted, not assumed; failure means w was not a valid
+    hexagon-graph boundary word.
     """
     if not w.is_closed:
         raise ShadowNotClosed("can only shadow a closed word")
@@ -195,50 +178,37 @@ def shadow_word(
             f"shadow basepoint class {class_of(basepoint)} differs from "
             f"word basepoint class {class_of(w.basepoint)}"
         )
-    short, sites = _despur_with_sites(w)
-    n = len(short.steps)
-    if n == 0:
+    spur = _spur_steps(w)
+    free = [s for i, s in enumerate(w.steps) if i not in spur]
+    if not free:
         return Word((), basepoint)
-    if n < 6:
+    if len(free) < 6:
         raise ShadowNotClosed("closed spur-free hexagon words have length >= 6")
 
-    # Fix the letter -> label bijection from the seed: the first shadow
-    # step realizes w's first letter, and the bijection extends cyclically
-    # (a -> b -> c maps to label+1).  Only the cyclic bijections give the
-    # invariant its correct sign (the anticyclic ones produce the mirror
-    # shadow, whose area is -I), so the second seed letter does not steer
-    # the path; it stays part of the seed because either non-backtracking
-    # choice names the same shadow.
+    # Fix the letter -> label bijection from the seed: w's first non-spur
+    # letter gets the label of the seed's first edge at the basepoint, and
+    # the bijection extends cyclically (a -> b -> c maps to label+1).
+    # Only the cyclic bijections give the invariant its correct sign (the
+    # anticyclic ones produce the mirror shadow, whose area is -I), so the
+    # second seed letter does not steer the path; it stays part of the
+    # seed because either non-backtracking choice names the same shadow.
     # From a class-1 basepoint the roles of the two vertex classes are
     # swapped and the matching bijection runs anticyclically; that is what
     # makes the enclosed area come out as -I(R) there.
     sign = 1 if class_of(basepoint) == 0 else -1
-    l1 = short.steps[0].letter
+    l1 = free[0].letter
     k = _edge_label(basepoint, seed.first) - sign * "abc".index(l1)
     label_of = {x: (sign * "abc".index(x) + k) % 3 for x in "abc"}
 
     steps: List[Step] = []
     v = basepoint
-    for s in short.steps:
+    for s in w.steps:
         out = _step_with_label(v, label_of[s.letter])
         steps.append(out)
         v = v + out.vector
     if v != basepoint:
         raise ShadowNotClosed(f"shadow path ends at {v}, not its basepoint")
-
-    out_word = Word(tuple(steps), basepoint)
-    for pos, letter in sorted(sites, reverse=True):
-        out_word = _insert_spur(out_word, pos, label_of[letter])
-    return out_word
-
-
-def _insert_spur(w: Word, pos: int, label: int) -> Word:
-    """Insert at step index pos the spur pair along the edge carrying the
-    given label (isolation is inherited from the original word)."""
-    vertex = w.vertices()[pos]
-    out_step = _step_with_label(vertex, label)
-    pair = (out_step, out_step.inverse)
-    return Word(w.steps[:pos] + pair + w.steps[pos:], w.basepoint)
+    return Word(tuple(steps), basepoint)
 
 
 def cl_invariant_path(

@@ -123,6 +123,7 @@ def test_05_published_tiling_counts():
     assert count_tilings(benzel(BenzelParams(12, 15)), BONES) == 42705
 
 
+@pytest.mark.slow
 def test_06_large_count_is_exact_or_cleanly_resource_limited():
     # Stretch target: the (22, 26) count within a 4 GB memo budget.  A
     # pure-Python frontier sweep exceeds that budget (>19M live states at

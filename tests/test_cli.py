@@ -72,6 +72,18 @@ def test_shadow_seed_flag(capsys):
     assert json.loads(out1)["area"] == json.loads(out2)["area"]
 
 
+def test_shadow_of_closed_form_word_file(capsys, tmp_path):
+    # The (2,3) word's spur pair straddles its end; its basepoint (3,1) is
+    # class 1, so the area is -I = 3.
+    code, out, _ = run(capsys, "benzel", "--a", "2", "--b", "3", "--boundary-word")
+    assert code == 0
+    path = tmp_path / "w.txt"
+    path.write_text(out)
+    code, out, _ = run(capsys, "shadow", "--word", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == "area 3"
+
+
 def test_tile_count(capsys):
     code, out, _ = run(capsys, "tile", "count", "--benzel", "5,7", "--tiles", "bones")
     assert code == 0

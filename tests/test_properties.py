@@ -5,8 +5,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trihex.errors import NotSimplyConnected
-from trihex.hexlattice import LatticePoint, rotate120
-from trihex.regions import Region, trace_boundary
+from trihex.hexlattice import (
+    LatticePoint,
+    Word,
+    class_of,
+    rotate120,
+    signed_area,
+    step_for,
+)
+from trihex.regions import Region, find_spurs, trace_boundary
+from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
 from trihex.tilings import (
     BONES,
     STONES_AND_BONES,
@@ -46,14 +54,20 @@ def _grow(picks):
     return Region(frozenset(cells))
 
 
+def _simply_connected(picks):
+    """The grown region and its boundary word; a region with a hole
+    discards the example."""
+    r = _grow(picks)
+    try:
+        return r, trace_boundary(r)
+    except NotSimplyConnected:
+        assume(False)
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.integers(0, 2**20), min_size=3, max_size=25))
 def test_frequencies_on_grown_regions(picks):
-    r = _grow(picks)
-    try:
-        trace_boundary(r)
-    except NotSimplyConnected:
-        assume(False)
+    r, _ = _simply_connected(picks)
     rotated = Region(frozenset(rotate120(c) for c in r.cells))
     for tileset in (BONES, STONES_AND_BONES):
         total = count_tilings(r, tileset)
@@ -68,3 +82,60 @@ def test_frequencies_on_grown_regions(picks):
         for c in r.cells:
             assert sum(f for p, f in freq.items() if c in cells_of(p)) == total, c
     assert count_tilings(r, STONES_AND_BONES) > 0
+
+
+def _with_spur(w, pos):
+    """w with a spur pair inserted before step pos, along the edge at that
+    vertex that neither neighbouring step uses, so the pair is isolated."""
+    n = len(w.steps)
+    v = w.vertices()[pos]
+    used = {w.steps[(pos - 1) % n].letter, w.steps[pos % n].letter}
+    letter = next(x for x in "abc" if x not in used)
+    s = step_for(letter, class_of(v) == 1)
+    return Word(w.steps[:pos] + (s, s.inverse) + w.steps[pos:], w.basepoint)
+
+
+def _spur_pair_steps(w):
+    return {j for i in find_spurs(w) for j in (i, (i + 1) % len(w.steps))}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**20), min_size=1, max_size=12),
+    st.lists(st.integers(0, 2**20), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_shadow_of_spurred_boundaries(picks, sites, wrap):
+    r, w = _simply_connected(picks)
+    I = cl_invariant_path(r).I
+    # Insert from the back, so no pair lands inside another; pairs at one
+    # vertex stay isolated.
+    for pos in sorted((k % (len(w.steps) + 1) for k in sites), reverse=True):
+        w = _with_spur(w, pos)
+    if wrap:  # the first pair now straddles the end of the word
+        w = w.rotated(find_spurs(w)[0] + 1)
+    spurs = _spur_pair_steps(w)
+    shadow = shadow_word(w, w.basepoint)
+    assert len(shadow) == len(w)
+    assert _spur_pair_steps(shadow) == spurs
+    for i, (mine, theirs) in enumerate(zip(classify_steps(w), classify_steps(shadow))):
+        if i in spurs:
+            assert mine is theirs is StepKind.SPUR_SITE
+        else:
+            assert {mine, theirs} == {StepKind.WEAVE, StepKind.WIND}
+    assert signed_area(shadow) == (I if class_of(w.basepoint) == 0 else -I)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=25))
+def test_reflections_and_the_invariant(picks):
+    r, _ = _simply_connected(picks)
+    I = cl_invariant_path(r).I
+    # (x, y) -> (2 - y, 2 - x) mirrors in a line of cell centres and swaps
+    # the two vertex classes; it swaps stone chiralities and negates I.
+    mirror = Region(frozenset(LatticePoint(2 - c.y, 2 - c.x) for c in r.cells))
+    assert cl_invariant_path(mirror).I == -I
+    # (x, y) -> (y, x), that is z -> omega * conj(z), keeps every class and
+    # maps each stone to a stone of the same chirality, so it keeps I.
+    mirror = Region(frozenset(LatticePoint(c.y, c.x) for c in r.cells))
+    assert cl_invariant_path(mirror).I == I

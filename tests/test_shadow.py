@@ -5,14 +5,23 @@ from fractions import Fraction
 import pytest
 
 from trihex.errors import InvalidParams, ShadowNotClosed
-from trihex.hexlattice import LatticePoint, class_of, signed_area, word_from_string
+from trihex.hexlattice import (
+    LatticePoint,
+    Word,
+    class_of,
+    signed_area,
+    word_from_string,
+)
 from trihex.regions import (
     BenzelParams,
     benzel,
     boundary_word_closed_form,
+    despur,
+    find_spurs,
     region_from_cells,
     trace_boundary,
     triangle,
+    word_from_text,
 )
 from trihex.shadow import (
     ALL_SEEDS,
@@ -33,6 +42,19 @@ def all_valid_params(bound: int):
         for b in range(2, bound + 1):
             if a <= 2 * b and b <= 2 * a:
                 yield BenzelParams(a, b)
+
+
+def isolated_spur_closed_forms(bound: int):
+    """Closed-form words with isolated spurs: all but the degenerate class 0
+    ones, whose spurs cascade (see test_shadow_rejects_cascading_spurs)."""
+    for p in all_valid_params(bound):
+        if not (p.cls == 0 and 0 in (p.s, p.t)):
+            yield p, boundary_word_closed_form(p)
+
+
+def spur_pair_steps(w: Word) -> set:
+    n = len(w.steps)
+    return {j for i in find_spurs(w) for j in (i, (i + 1) % n)}
 
 
 def test_seed_validation():
@@ -61,9 +83,13 @@ def test_classify_steps_triangle():
 
 def test_classify_steps_marks_spur_sites():
     w = boundary_word_closed_form(BenzelParams(2, 3))
-    kinds = classify_steps(w)
-    assert kinds.count(StepKind.SPUR_SITE) % 2 == 0
-    assert StepKind.SPUR_SITE in kinds
+    assert StepKind.SPUR_SITE in classify_steps(w)
+    # Exactly the steps of spur pairs, also for a pair across the wrap
+    # (every class -1 word has one).
+    for p, w in isolated_spur_closed_forms(20):
+        kinds = classify_steps(w)
+        sites = {i for i, k in enumerate(kinds) if k is StepKind.SPUR_SITE}
+        assert sites == spur_pair_steps(w), (p.a, p.b)
 
 
 def test_shadow_swaps_weave_and_wind():
@@ -97,6 +123,11 @@ def test_shadow_area_independent_of_seed_and_basepoint():
             if class_of(v) == 0:
                 values.add(signed_area(shadow_word(w.rotated(k), v, seed)))
     assert len(values) == 1
+    # Only the first seed letter picks the shadow: six seeds, three shadows.
+    shadows = {seed: shadow_word(w, w.basepoint, seed) for seed in ALL_SEEDS}
+    assert len(set(shadows.values())) == 3
+    for s in ALL_SEEDS:
+        assert all(shadows[s] == shadows[t] for t in ALL_SEEDS if t.first == s.first)
 
 
 def test_class1_basepoint_negates_the_area():
@@ -137,6 +168,32 @@ def test_shadow_of_spurred_closed_form_keeps_length():
         shadow = shadow_word(w, w.basepoint)
         assert len(shadow) == len(w)
         assert shadow.is_closed
+        assert spur_pair_steps(shadow) == spur_pair_steps(w)
+
+
+def test_closed_form_shadow_area_sign():
+    # The area is I from a class-0 basepoint and -I from a class-1 one,
+    # also when a spur pair straddles the end of the word.
+    for p, w in isolated_spur_closed_forms(20):
+        I = cl_invariant_formula(p).I
+        want = I if class_of(w.basepoint) == 0 else -I
+        assert signed_area(shadow_word(w, w.basepoint)) == want, (p.a, p.b)
+
+
+def test_two_spur_pairs_at_one_vertex_keep_their_order():
+    w = word_from_text("base=-3,-3 a c' c a' a c' a c' b a' b a' c b' c b'")
+    shadow = shadow_word(w, w.basepoint)
+    assert find_spurs(shadow) == find_spurs(w) == [1, 3]
+    short = despur(w)
+    assert signed_area(shadow) == signed_area(shadow_word(short, short.basepoint))
+    assert abs(signed_area(shadow)) == 3
+
+
+def test_shadow_of_spur_pairs_alone_is_the_empty_word():
+    w = word_from_string("a a' b b'")
+    assert classify_steps(w) == [StepKind.SPUR_SITE] * 4
+    assert shadow_word(w) == Word((), LatticePoint(0, 0))
+    assert shadow_word(w, LatticePoint(3, 0)) == Word((), LatticePoint(3, 0))
 
 
 def test_shadow_rejects_cascading_spurs():
