@@ -134,7 +134,11 @@ def _cmd_shadow(args: argparse.Namespace) -> int:
         word = trace_boundary(benzel(_parse_pair(args.benzel)))
     else:
         word = trace_boundary(triangle(args.triangle))
-    seed = DEFAULT_SEED if args.seed is None else ShadowSeed(args.seed[0], args.seed[1])
+    seed = DEFAULT_SEED
+    if args.seed is not None:
+        if len(args.seed) != 2:
+            raise TrihexError(f"expected two seed letters, got {args.seed!r}")
+        seed = ShadowSeed(*args.seed)
     base = word.basepoint if args.basepoint is None else _parse_point(args.basepoint)
     shadow = shadow_word(word, base, seed)
     area = signed_area(shadow)
@@ -197,7 +201,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     cols = ["a", "b", "class", "cellCount", "invariantI", "pentagonalK"]
     if args.search:
         cols.append("boneTileable")
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in cols}
+    widths = {c: max([len(c)] + [len(str(r.get(c, ""))) for r in rows]) for c in cols}
     print("  ".join(c.rjust(widths[c]) for c in cols))
     for r in rows:
         print(

@@ -28,7 +28,10 @@ class EmptyRegion(TrihexError):
 
 
 class NotSimplyConnected(TrihexError):
-    """The region is disconnected, has a hole, or pinches to a point."""
+    """The boundary of a set of cells is not one closed curve: the cells
+    lie in several edge-connected pieces (reported as such even when there
+    are holes too), they surround a hole, or, for centers of mixed classes,
+    the boundary pinches at a vertex."""
 
 
 class NonIsolatedSpur(TrihexError):

@@ -204,8 +204,14 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
     starting at the lexicographically smallest vertex.
 
     Edge i of a cell (corner i to corner i + 1) is on the boundary exactly
-    when the cell across it is not in the set.  Raises NotSimplyConnected
-    unless those edges form a single closed curve.
+    when the cell across it is not in the set.  Every vertex of the hexagon
+    graph has degree 3, so a boundary vertex has one boundary edge in and
+    one out, and the boundary edges form disjoint cycles: a counterclockwise
+    outline for each edge-connected piece of the set and a clockwise cycle
+    around each hole.  The smallest vertex lies on an outline.  Raises
+    NotSimplyConnected unless that outline is the only cycle: "not
+    edge-connected" when another cycle runs counterclockwise, and "not a
+    single closed curve" when every other cycle goes round a hole.
     """
     succ: Dict[LatticePoint, LatticePoint] = {}
     for c in cells:
@@ -215,14 +221,26 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
                 if v in succ:
                     raise NotSimplyConnected(f"boundary pinches at vertex {v}")
                 succ[v] = c + head
-    start = min(succ)
+    ring = _cycle(succ, min(succ))
+    if len(ring) == len(succ):
+        return ring
+    left = set(succ).difference(ring)
+    while left:
+        other = _cycle(succ, left.pop())
+        left.difference_update(other)
+        if sum(cross(v, succ[v]) for v in other) > 0:
+            raise NotSimplyConnected("region cells are not edge-connected")
+    raise NotSimplyConnected("region boundary is not a single closed curve")
+
+
+def _cycle(
+    succ: Dict[LatticePoint, LatticePoint], start: LatticePoint
+) -> List[LatticePoint]:
     ring = [start]
     v = succ[start]
     while v != start:
         ring.append(v)
         v = succ[v]
-    if len(ring) != len(succ):
-        raise NotSimplyConnected("region boundary is not a single closed curve")
     return ring
 
 
@@ -231,30 +249,17 @@ def trace_boundary(r: Region) -> Word:
 
     Starts at the lexicographically smallest class-0 boundary vertex and
     returns a closed, spur-free word whose signed area is the cell count.
+    Raises EmptyRegion for no cells, and NotSimplyConnected, as
+    boundary_cycle does, for cells in several pieces or a region with a
+    hole.
     """
     if not r.cells:
         raise EmptyRegion("cannot trace the boundary of an empty region")
-    _check_connected(r)
     ring = boundary_cycle(r.cells)
     k = ring.index(min(v for v in ring if class_of(v) == 0))
     ring = ring[k:] + ring[:k]
     steps = [_STEP_FOR_VECTOR[w - v] for v, w in zip(ring, ring[1:] + ring[:1])]
     return Word(tuple(steps), ring[0])
-
-
-def _check_connected(r: Region) -> None:
-    cells = r.cells
-    seen = {next(iter(cells))}
-    frontier = list(seen)
-    while frontier:
-        c = frontier.pop()
-        for d in CELL_NEIGHBOR_OFFSETS:
-            n = c + d
-            if n in cells and n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    if len(seen) != len(cells):
-        raise NotSimplyConnected("region cells are not edge-connected")
 
 
 def _rep(pattern: str, count: int) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .hexlattice import LatticePoint, Word
 from .regions import BenzelParams, Region, boundary_cycle, bounding_hexagon, cell_corners
@@ -30,7 +30,8 @@ _TILE_FILLS: Dict[TileKind, str] = {
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Knobs for the SVG output: scale, palette, and layer toggles."""
+    """Knobs for the SVG output: scale, palette, and the cell and hexagon
+    layers; the other layers are drawn whenever they are given."""
 
     unit: float = 20.0
     margin: float = 10.0
@@ -41,9 +42,6 @@ class RenderSpec:
     shadow_stroke: str = "#1f77b4"
     hexagon_stroke: str = "#888888"
     show_cells: bool = True
-    show_tiling: bool = True
-    show_boundary: bool = True
-    show_shadow: bool = True
     show_hexagon: bool = False
 
 
@@ -58,30 +56,12 @@ def _fmt(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-def _points_attr(pts: Sequence[Tuple[float, float]]) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-
-
 # Each kind's outline about an anchor at the origin.  boundary_cycle only
 # adds and compares offsets, so translating this ring by a placement's
 # anchor gives that tile's outline, still starting at its smallest vertex.
 _TILE_RINGS: Dict[TileKind, List[LatticePoint]] = {
     kind: boundary_cycle(offsets) for kind, offsets in TILE_OFFSETS.items()
 }
-
-
-def _tile_outline(t: Tiling, spec: RenderSpec) -> List[str]:
-    """One closed path per placement: the cell edges not shared between
-    two cells of the same tile."""
-    out = []
-    for p in t.placements:
-        pts = [embed(p.anchor + d, spec.unit) for d in _TILE_RINGS[p.kind]]
-        fill = _TILE_FILLS[p.kind]
-        out.append(
-            f'<polygon class="tile" points="{_points_attr(pts)}" '
-            f'fill="{fill}" stroke="{spec.tile_stroke}" stroke-width="2" />'
-        )
-    return out
 
 
 def render_svg(
@@ -92,58 +72,72 @@ def render_svg(
     hexagon: Optional[BenzelParams] = None,
     spec: RenderSpec = RenderSpec(),
 ) -> str:
-    """Compose the requested layers into a standalone SVG document."""
+    """Compose the requested layers into a standalone SVG document.
+
+    Each tile is drawn as one closed path: the cell edges not shared
+    between two cells of the same tile.  The viewBox spans every vertex
+    drawn, and the corners of the tiling's cells when the cell layer did
+    not draw them.
+    """
     elements: List[str] = []
-    points: List[Tuple[float, float]] = []
+    # Each distinct vertex is embedded and formatted once; its keys are the
+    # vertices the viewBox must span.
+    drawn: Dict[LatticePoint, str] = {}
+
+    def points(vertices: Iterable[LatticePoint]) -> str:
+        out = []
+        for q in vertices:
+            text = drawn.get(q)
+            if text is None:
+                x, y = embed(q, spec.unit)
+                text = drawn[q] = f"{_fmt(x)},{_fmt(y)}"
+            out.append(text)
+        return " ".join(out)
 
     if tiling is not None and region is None:
         region = tiling.region
 
     if hexagon is not None and spec.show_hexagon:
-        pts = [embed(q, spec.unit) for q in bounding_hexagon(hexagon)]
-        points += pts
         elements.append(
-            f'<polygon class="hexagon" points="{_points_attr(pts)}" '
+            f'<polygon class="hexagon" points="{points(bounding_hexagon(hexagon))}" '
             f'fill="none" stroke="{spec.hexagon_stroke}" stroke-width="1" '
             'stroke-dasharray="4 3" />'
         )
 
     if region is not None and spec.show_cells:
         for c in region.sorted_cells():
-            pts = [embed(q, spec.unit) for q in cell_corners(c)]
-            points += pts
             elements.append(
-                f'<polygon class="cell" points="{_points_attr(pts)}" '
+                f'<polygon class="cell" points="{points(cell_corners(c))}" '
                 f'fill="{spec.cell_fill}" stroke="{spec.cell_stroke}" '
                 'stroke-width="1" />'
             )
 
-    if tiling is not None and spec.show_tiling:
-        elements += _tile_outline(tiling, spec)
-        # The viewBox takes only extremes, so cell corners the cell layer
-        # already added need not be added again.
+    if tiling is not None:
+        for p in tiling.placements:
+            outline = points(p.anchor + d for d in _TILE_RINGS[p.kind])
+            elements.append(
+                f'<polygon class="tile" points="{outline}" '
+                f'fill="{_TILE_FILLS[p.kind]}" stroke="{spec.tile_stroke}" '
+                'stroke-width="2" />'
+            )
         if not (spec.show_cells and tiling.region == region):
-            for c in tiling.region.sorted_cells():
-                points += [embed(q, spec.unit) for q in cell_corners(c)]
+            for c in tiling.region.cells:
+                points(cell_corners(c))
 
-    for word, cls, stroke, show in (
-        (boundary, "boundary", spec.boundary_stroke, spec.show_boundary),
-        (shadow, "shadow", spec.shadow_stroke, spec.show_shadow),
+    for word, cls, stroke in (
+        (boundary, "boundary", spec.boundary_stroke),
+        (shadow, "shadow", spec.shadow_stroke),
     ):
-        if word is None or not show:
-            continue
-        pts = [embed(q, spec.unit) for q in word.vertices()]
-        points += pts
-        elements.append(
-            f'<polyline class="{cls}" points="{_points_attr(pts)}" '
-            f'fill="none" stroke="{stroke}" stroke-width="2.5" '
-            'stroke-linejoin="round" />'
-        )
+        if word is not None:
+            elements.append(
+                f'<polyline class="{cls}" points="{points(word.vertices())}" '
+                f'fill="none" stroke="{stroke}" stroke-width="2.5" '
+                'stroke-linejoin="round" />'
+            )
 
-    if not points:
-        points = [(0.0, 0.0)]
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
+    corners = [embed(q, spec.unit) for q in drawn] or [(0.0, 0.0)]
+    xs = [x for x, _ in corners]
+    ys = [y for _, y in corners]
     x0, y0 = min(xs) - spec.margin, min(ys) - spec.margin
     w = max(xs) - min(xs) + 2 * spec.margin
     h = max(ys) - min(ys) + 2 * spec.margin

@@ -24,7 +24,6 @@ from .hexlattice import (
     Word,
     class_of,
     signed_area,
-    step_for,
 )
 from .regions import BenzelParams, Region, find_spurs, trace_boundary
 
@@ -112,43 +111,28 @@ def classify_steps(w: Word) -> List[StepKind]:
     return kinds
 
 
-def _step_from(vertex: LatticePoint, letter: str) -> Step:
-    """The step with the given letter leaving a hexagon-graph vertex;
-    unprimed from class 0, primed from class 1."""
-    cls = class_of(vertex)
-    if cls == 0:
-        return step_for(letter, False)
-    if cls == 1:
-        return step_for(letter, True)
-    raise ShadowNotClosed(f"path reached non-vertex point {vertex}")
+# The face-alternating edge labeling: the label of an edge at a hexagon-
+# graph vertex is the type, (x - y) mod 3, of the cell touching the vertex
+# that does not border the edge.  The six edges of every cell then alternate
+# between two labels, which is the structure the shadow path follows.  The
+# step leaving the vertex (x, y) of class 0 or 1 along the edge labeled L is
+# _SHADOW_STEPS[class, (x - y - L) mod 3]; steps from class 0 are unprimed,
+# steps from class 1 primed.
+_SHADOW_STEPS = {
+    (0, 0): Step.C,
+    (0, 1): Step.A,
+    (0, 2): Step.B,
+    (1, 0): Step.CP,
+    (1, 1): Step.BP,
+    (1, 2): Step.AP,
+}
 
 
-def _cell_type(cell: LatticePoint) -> int:
-    # (x - y) mod 3 separates the three cells around any graph vertex.
-    return (cell.x - cell.y) % 3
-
-
-def _edge_label(vertex: LatticePoint, letter: str) -> int:
-    """Face-alternating edge label: the type of the cell touching this
-    vertex that does NOT border the edge.
-
-    Under this labeling the six edges of every cell alternate between two
-    labels, which is exactly the structure the shadow path follows.
-    """
-    vec = step_for(letter, False).vector
-    cls = class_of(vertex)
-    if cls == 0:
-        return _cell_type(vertex - vec)
-    if cls == 1:
-        return _cell_type(vertex - vec - vec)
-    raise ShadowNotClosed(f"path reached non-vertex point {vertex}")
-
-
-def _step_with_label(vertex: LatticePoint, label: int) -> Step:
-    for letter in "abc":
-        if _edge_label(vertex, letter) == label:
-            return _step_from(vertex, letter)
-    raise ShadowNotClosed(f"no edge labeled {label} at {vertex}")
+def _shadow_step(v: LatticePoint, label: int) -> Step:
+    step = _SHADOW_STEPS.get((class_of(v), (v.x - v.y - label) % 3))
+    if step is None:
+        raise ShadowNotClosed(f"path reached non-vertex point {v}")
+    return step
 
 
 def shadow_word(
@@ -197,13 +181,14 @@ def shadow_word(
     # makes the enclosed area come out as -I(R) there.
     sign = 1 if class_of(basepoint) == 0 else -1
     l1 = free[0].letter
-    k = _edge_label(basepoint, seed.first) - sign * "abc".index(l1)
+    first = next(x for x in range(3) if _shadow_step(basepoint, x).letter == seed.first)
+    k = first - sign * "abc".index(l1)
     label_of = {x: (sign * "abc".index(x) + k) % 3 for x in "abc"}
 
     steps: List[Step] = []
     v = basepoint
     for s in w.steps:
-        out = _step_with_label(v, label_of[s.letter])
+        out = _shadow_step(v, label_of[s.letter])
         steps.append(out)
         v = v + out.vector
     if v != basepoint:

@@ -23,6 +23,7 @@ once full it stops growing while the search goes on unchanged.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -213,15 +214,19 @@ _BYTES_PER_STATE = 110
 
 
 def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
+    name = "memo_limit_mb"
     if memo_limit_mb is None:
-        env = os.environ.get("TRIBONE_MEMO_LIMIT_MB")
-        if env is None:
+        memo_limit_mb = os.environ.get("TRIBONE_MEMO_LIMIT_MB")
+        if memo_limit_mb is None:
             return None
-        try:
-            memo_limit_mb = float(env)
-        except ValueError:
-            raise ResourceLimit(f"bad TRIBONE_MEMO_LIMIT_MB value {env!r}")
-    return int(memo_limit_mb * 1024 * 1024)
+        name = "TRIBONE_MEMO_LIMIT_MB"
+    try:
+        limit = float(memo_limit_mb) * 1024 * 1024
+    except ValueError:
+        limit = math.nan
+    if not math.isfinite(limit):  # int() raises on nan and infinities
+        raise ResourceLimit(f"bad {name} value {memo_limit_mb!r}")
+    return int(limit)
 
 
 def _over_cap(i: int, n: int, states: int, limit: int, kept: bool) -> ResourceLimit:

@@ -225,3 +225,48 @@ def test_tile_freq_resource_limit(capsys):
     assert code == 3
     assert out.strip() == "resource-limit"
     assert "resource-limit: " in err
+
+
+def test_scan_with_no_benzels_prints_the_header(capsys):
+    code, out, err = run(capsys, "scan", "--max", "1")
+    assert code == 0 and err == ""
+    assert out.split() == ["a", "b", "class", "cellCount", "invariantI", "pentagonalK"]
+
+
+@pytest.mark.parametrize("seed", ["a", "abc", ""])
+def test_shadow_seed_needs_two_letters(capsys, seed):
+    code, out, err = run(capsys, "shadow", "--benzel", "4,4", "--seed", seed)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def _tile_on_a_fresh_region(capsys, command, *extra):
+    """Run `tile command` on the (12,15) benzel with bones; for freq, after
+    a call on another region, so no kept (12,15) table answers it."""
+    argv = ["tile", command, "--benzel", "12,15", "--tiles", "bones", *extra]
+    if command == "freq":
+        argv += ["--placement", "boneAB,-1,0"]
+        assert run(
+            capsys, "tile", "freq", "--benzel", "5,7", "--tiles", "bones",
+            "--placement", "boneAB,-1,0",
+        )[0] == 0
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["count", "freq"])
+def test_non_finite_memo_limit(capsys, command, value):
+    code, out, err = _tile_on_a_fresh_region(capsys, command, f"--memo-limit-mb={value}")
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert err.startswith("resource-limit: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("command", ["count", "freq", "enumerate"])
+def test_non_finite_memo_limit_env(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", value)
+    code, out, err = _tile_on_a_fresh_region(capsys, command)
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert "TRIBONE_MEMO_LIMIT_MB" in err

@@ -4,7 +4,7 @@ fixed number of examples, so every run tests the same regions)."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trihex.errors import NotSimplyConnected
+from trihex.errors import EmptyRegion, NotSimplyConnected
 from trihex.hexlattice import (
     LatticePoint,
     Word,
@@ -139,3 +139,63 @@ def test_reflections_and_the_invariant(picks):
     # maps each stone to a stone of the same chirality, so it keeps I.
     mirror = Region(frozenset(LatticePoint(c.y, c.x) for c in r.cells))
     assert cl_invariant_path(mirror).I == I
+
+
+def _pieces(cells):
+    """The number of edge-connected pieces of a set of cells, by
+    breadth-first search."""
+    left, pieces = set(cells), 0
+    while left:
+        pieces += 1
+        frontier = [left.pop()]
+        while frontier:
+            x, y = frontier.pop()
+            for dx, dy in _NEIGHBOURS:
+                n = LatticePoint(x + dx, y + dy)
+                if n in left:
+                    left.remove(n)
+                    frontier.append(n)
+    return pieces
+
+
+def _holes(cells):
+    """The number of bounded pieces of the cells around a region, searched
+    in a box wide enough that the unbounded piece stays connected."""
+    xs, ys = [c.x for c in cells], [c.y for c in cells]
+    box = {
+        LatticePoint(x, y)
+        for x in range(min(xs) - 6, max(xs) + 7)
+        for y in range(min(ys) - 6, max(ys) + 7)
+        if (x + y) % 3 == 2
+    }
+    return _pieces(box - cells) - 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**20), min_size=1, max_size=15),
+    st.lists(st.integers(0, 2**20), max_size=6),
+    st.lists(st.integers(0, 2**20), max_size=4),
+    st.integers(0, 12),
+)
+def test_trace_boundary_on_grown_regions(picks, removals, far_picks, shift):
+    cells = set(_grow(picks).cells)
+    for k in removals:  # removals may cut the region or open holes in it
+        if cells:
+            cells.discard(sorted(cells)[k % len(cells)])
+    if far_picks:  # a second piece, near enough at times to touch the first
+        cells.update(LatticePoint(c.x + 3 * shift, c.y) for c in _grow(far_picks).cells)
+    r = Region(frozenset(cells))
+    try:
+        w = trace_boundary(r)
+    except EmptyRegion:
+        assert not cells
+    except NotSimplyConnected as e:
+        if _pieces(cells) > 1:
+            assert str(e) == "region cells are not edge-connected"
+        else:
+            assert _holes(cells) > 0
+            assert str(e) == "region boundary is not a single closed curve"
+    else:
+        assert _pieces(cells) == 1 and _holes(cells) == 0
+        assert signed_area(w) == len(r)

@@ -16,6 +16,7 @@ from trihex.hexlattice import (
     word_from_string,
 )
 from trihex.regions import (
+    CELL_NEIGHBOR_OFFSETS,
     BenzelParams,
     Region,
     benzel,
@@ -139,17 +140,29 @@ def test_trace_boundary_area_is_cell_count():
 def test_trace_boundary_rejects_holes():
     # A ring of six cells around an uncovered center.
     center = LatticePoint(1, 1)
-    from trihex.regions import CELL_NEIGHBOR_OFFSETS
-
     ring = Region(frozenset(center + d for d in CELL_NEIGHBOR_OFFSETS))
-    with pytest.raises(NotSimplyConnected):
+    with pytest.raises(NotSimplyConnected) as e:
         trace_boundary(ring)
+    assert str(e.value) == "region boundary is not a single closed curve"
 
 
 def test_trace_boundary_rejects_disconnected():
     r = region_from_cells([(-2, -2), (4, 4)])
-    with pytest.raises(NotSimplyConnected):
+    with pytest.raises(NotSimplyConnected) as e:
         trace_boundary(r)
+    assert str(e.value) == "region cells are not edge-connected"
+
+
+def test_trace_boundary_rejects_an_island_inside_a_hole():
+    # The twelve cells two steps from a center, and the center itself: the
+    # six cells between them are missing, so the center is a second piece.
+    center = LatticePoint(1, 1)
+    near = {center + d for d in CELL_NEIGHBOR_OFFSETS}
+    far = {n + d for n in near for d in CELL_NEIGHBOR_OFFSETS} - near - {center}
+    assert len(far) == 12
+    with pytest.raises(NotSimplyConnected) as e:
+        trace_boundary(Region(frozenset(far | {center})))
+    assert str(e.value) == "region cells are not edge-connected"
 
 
 def test_trace_boundary_empty():

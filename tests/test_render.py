@@ -1,9 +1,10 @@
 """Unit tests for the SVG layer composition."""
 
+import hashlib
 import re
 
 from trihex.hexlattice import LatticePoint
-from trihex.pentagonal import construct_tiling
+from trihex.pentagonal import construct_tiling, pentagonal_benzel
 from trihex.regions import (
     BenzelParams,
     Region,
@@ -85,3 +86,35 @@ def test_hexagon_layer_and_toggles():
 def test_deterministic_output():
     r = benzel(BenzelParams(4, 5))
     assert render_svg(region=r) == render_svg(region=r)
+
+
+def test_construction_renders_are_unchanged():
+    # sha256 of each document; any change to the embedding, the number
+    # format, the viewBox or the layer order shows here.
+    t = construct_tiling(3)
+    cells = t.region.sorted_cells()
+    half = Region(frozenset(cells[: len(cells) // 2]))
+    w = trace_boundary(t.region)
+    docs = {
+        "e0127b1f160ef85393e48dfacc61b8bcc8ba2ec14683181d3e417f89c22e1661": render_svg(
+            tiling=t, spec=RenderSpec(show_cells=False)
+        ),
+        "af19938201ccf8d3a007264477568392bc017d7469cba1f43f15ae2b437ce338": render_svg(
+            region=half, tiling=t
+        ),
+        "bf486776239086280c8aa95674d48010759568bf3ee2fc698b4ac54069d53b46": render_svg(
+            tiling=t, boundary=w, shadow=shadow_word(w, w.basepoint)
+        ),
+        "8ea4ad00fcd3ea3a366e8728635bc7a413f2ebf1ca92c566fe83cfd193583ba1": render_svg(
+            tiling=t, hexagon=pentagonal_benzel(3), spec=RenderSpec(show_hexagon=True)
+        ),
+    }
+    for digest, svg in docs.items():
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_empty_document():
+    assert render_svg() == (
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-10.00 -10.00 20.00 20.00" '
+        'width="20.00" height="20.00">\n</svg>\n'
+    )

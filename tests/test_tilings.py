@@ -1,6 +1,7 @@
 """Unit tests for placements, counting, enumeration, and statistics."""
 
 import json
+import math
 import random
 import sys
 
@@ -266,6 +267,22 @@ def test_memo_cap_env_var(monkeypatch):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "0.001")
     with pytest.raises(ResourceLimit):
         count_tilings(benzel(BenzelParams(12, 15)), BONES)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_memo_limit(value):
+    with pytest.raises(ResourceLimit, match="memo_limit_mb"):
+        count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "ten"])
+def test_non_finite_memo_limit_env_var(monkeypatch, value):
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", value)
+    r = benzel(BenzelParams(5, 7))
+    with pytest.raises(ResourceLimit, match="TRIBONE_MEMO_LIMIT_MB"):
+        count_tilings(r, BONES)
+    with pytest.raises(ResourceLimit, match="TRIBONE_MEMO_LIMIT_MB"):
+        next(enumerate_tilings(r, BONES))
 
 
 def test_stone_balance_and_histogram():
