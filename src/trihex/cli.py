@@ -2,6 +2,8 @@
 
 Commands: benzel, triangle, shadow, tile (construct|count|enumerate|freq),
 scan, render.  Exit codes: 0 success, 2 input error, 3 resource limit.
+Every command resolves --benzel/--triangle/--region/--tiling and reads
+files through one path, so a bad value or file exits 2 under any command.
 All numeric output is exact decimal.  `tile count` runs the forward
 frontier sweep of trihex.tilings.count_tilings, and --memo-limit-mb caps
 the estimated bytes of its live states; `tile freq` runs that sweep
@@ -16,9 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-from .errors import ResourceLimit, TrihexError
+from .errors import FormatError, ResourceLimit, TrihexError
 from .hexlattice import LatticePoint, signed_area
 from .pentagonal import construct_tiling
 from .regions import (
@@ -48,6 +50,7 @@ from .tilings import (
     STONES_AND_BONES,
     Placement,
     TileKind,
+    Tiling,
     count_tilings,
     placement_frequency,
     enumerate_tilings,
@@ -57,21 +60,16 @@ from .tilings import (
 
 _TILESETS = {"bones": BONES, "stones+bones": STONES_AND_BONES}
 
+T = TypeVar("T")
 
-def _parse_pair(text: str) -> BenzelParams:
+
+def _parse_ints(text: str, what: str) -> Tuple[int, int]:
+    """The two integers of 'a,b' text; what names them in the error."""
     try:
         a_str, b_str = text.split(",")
-        return BenzelParams(int(a_str), int(b_str))
+        return int(a_str), int(b_str)
     except ValueError:
-        raise TrihexError(f"expected 'a,b' integers, got {text!r}") from None
-
-
-def _parse_point(text: str) -> LatticePoint:
-    try:
-        x_str, y_str = text.split(",")
-        return LatticePoint(int(x_str), int(y_str))
-    except ValueError:
-        raise TrihexError(f"expected 'x,y' integers, got {text!r}") from None
+        raise TrihexError(f"expected {what!r} integers, got {text!r}") from None
 
 
 def _parse_placement(text: str) -> Placement:
@@ -81,14 +79,52 @@ def _parse_placement(text: str) -> Placement:
     kinds = {k.value: k for k in TileKind}
     if kind_str not in kinds:
         raise TrihexError(f"unknown tile kind {kind_str!r}")
-    return Placement(kinds[kind_str], _parse_point(rest))
+    return Placement(kinds[kind_str], LatticePoint(*_parse_ints(rest, "x,y")))
 
 
-def _load_region(args: argparse.Namespace) -> Region:
-    if getattr(args, "region", None):
-        with open(args.region) as f:
-            return region_from_json(f.read())
-    return benzel(_parse_pair(args.benzel))
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """parse of the text of the file at path (a text that is not UTF-8
+    raises UnicodeDecodeError, which main reports as an input error)."""
+    with open(path) as f:
+        return parse(f.read())
+
+
+def _write(path: Optional[str], text: str) -> None:
+    """Write text to the file at path, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _tiling_doc(text: str) -> object:
+    # Kept apart from tiling_from_json so that the text is freed before the
+    # tiling is built beside its parsed document.
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"bad tiling JSON: {e}") from None
+
+
+def _resolve(
+    args: argparse.Namespace,
+) -> Tuple[Optional[Region], Optional[Tiling], Optional[BenzelParams]]:
+    """The region, tiling and benzel parameters of whichever of --tiling,
+    --region, --benzel and --triangle was given; None for the parts that
+    option lacks."""
+    region = tiling = params = None
+    if getattr(args, "tiling", None) is not None:
+        tiling = tiling_from_json(_read(args.tiling, _tiling_doc))
+        region = tiling.region
+    elif getattr(args, "region", None) is not None:
+        region = _read(args.region, region_from_json)
+    elif args.benzel is not None:
+        params = BenzelParams(*_parse_ints(args.benzel, "a,b"))
+        region = benzel(params)
+    elif getattr(args, "triangle", None) is not None:
+        region = triangle(args.triangle)
+    return region, tiling, params
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -98,11 +134,14 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def _region_command(args: argparse.Namespace, region: Region, params) -> None:
+def _cmd_region(args: argparse.Namespace) -> int:
+    """The benzel and triangle commands."""
+    params = BenzelParams(args.a, args.b) if args.command == "benzel" else None
+    region = triangle(args.n) if params is None else benzel(params)
     if args.cells:
         print(json.dumps(region_to_json(region)))
     elif args.boundary_word:
-        if isinstance(params, BenzelParams):
+        if params is not None:
             word = boundary_word_closed_form(params)
         else:
             word = trace_boundary(region)
@@ -113,33 +152,22 @@ def _region_command(args: argparse.Namespace, region: Region, params) -> None:
         inv = cl_invariant_path(region)
         payload = {"I": inv.I, "i": str(inv.i), "iIntegral": inv.i_integral}
         _emit(args, payload, str(inv.I))
-
-
-def _cmd_benzel(args: argparse.Namespace) -> int:
-    p = BenzelParams(args.a, args.b)
-    _region_command(args, benzel(p), p)
-    return 0
-
-
-def _cmd_triangle(args: argparse.Namespace) -> int:
-    _region_command(args, triangle(args.n), None)
     return 0
 
 
 def _cmd_shadow(args: argparse.Namespace) -> int:
-    if args.word:
-        with open(args.word) as f:
-            word = word_from_text(f.read())
-    elif args.benzel:
-        word = trace_boundary(benzel(_parse_pair(args.benzel)))
+    if args.word is not None:
+        word = _read(args.word, word_from_text)
     else:
-        word = trace_boundary(triangle(args.triangle))
+        word = trace_boundary(_resolve(args)[0])
     seed = DEFAULT_SEED
     if args.seed is not None:
         if len(args.seed) != 2:
             raise TrihexError(f"expected two seed letters, got {args.seed!r}")
         seed = ShadowSeed(*args.seed)
-    base = word.basepoint if args.basepoint is None else _parse_point(args.basepoint)
+    base = word.basepoint
+    if args.basepoint is not None:
+        base = LatticePoint(*_parse_ints(args.basepoint, "x,y"))
     shadow = shadow_word(word, base, seed)
     area = signed_area(shadow)
     payload = {"shadow": word_to_text(shadow), "area": area}
@@ -149,14 +177,9 @@ def _cmd_shadow(args: argparse.Namespace) -> int:
 
 def _cmd_tile(args: argparse.Namespace) -> int:
     if args.tile_cmd == "construct":
-        doc = json.dumps(tiling_to_json(construct_tiling(args.k)))
-        if args.output:
-            with open(args.output, "w") as f:
-                f.write(doc + "\n")
-        else:
-            print(doc)
+        _write(args.output, json.dumps(tiling_to_json(construct_tiling(args.k))) + "\n")
         return 0
-    region = _load_region(args)
+    region = _resolve(args)[0]
     tileset = _TILESETS[args.tiles]
     if args.tile_cmd == "count":
         print(count_tilings(region, tileset, args.memo_limit_mb))
@@ -214,53 +237,29 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    region = tiling = hexagon = None
+    spec = RenderSpec(unit=args.unit, show_cells=not args.no_cells)
+    region, tiling, params = _resolve(args)
     boundary = shadow = None
-    if args.tiling:
-        with open(args.tiling) as f:
-            tiling = tiling_from_json(json.loads(f.read()))
-        region = tiling.region
-    elif args.region:
-        with open(args.region) as f:
-            region = region_from_json(f.read())
-    elif args.benzel:
-        hexagon = _parse_pair(args.benzel)
-        region = benzel(hexagon)
-    elif args.triangle:
-        region = triangle(args.triangle)
-    if args.word:
-        with open(args.word) as f:
-            boundary = word_from_text(f.read())
-    elif args.boundary and region is not None:
+    if args.word is not None:
+        boundary = _read(args.word, word_from_text)
+    elif args.boundary:
         boundary = trace_boundary(region)
     if args.shadow:
         source = boundary if boundary is not None else trace_boundary(region)
         shadow = shadow_word(source, source.basepoint)
-    spec = RenderSpec(
-        unit=args.unit,
-        show_cells=not args.no_cells,
-        show_hexagon=args.show_hexagon and hexagon is not None,
-    )
-    svg = render_svg(
-        region=region,
-        tiling=tiling,
-        boundary=boundary,
-        shadow=shadow,
-        hexagon=hexagon,
-        spec=spec,
-    )
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(svg)
-    else:
-        sys.stdout.write(svg)
+    hexagon = params if args.show_hexagon else None
+    _write(args.output, render_svg(region, tiling, boundary, shadow, hexagon, spec))
     return 0
 
 
-def _add_region_source(sub: argparse.ArgumentParser, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--benzel", metavar="A,B", help="benzel parameters")
-    group.add_argument("--region", metavar="FILE", help="region JSON file")
+def _add_source(p: argparse.ArgumentParser, *names: str, **helps: str) -> None:
+    """The required group of p's mutually exclusive input options, in the
+    order named; --triangle takes an int, the others a string."""
+    group = p.add_mutually_exclusive_group(required=True)
+    for name in names:
+        kind = int if name == "triangle" else None
+        metavar = {"benzel": "A,B", "triangle": "N"}.get(name, "FILE")
+        group.add_argument(f"--{name}", type=kind, metavar=metavar, help=helps.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,10 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("shadow", help="shadow a boundary word")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--benzel", metavar="A,B")
-    src.add_argument("--triangle", type=int, metavar="N")
-    src.add_argument("--word", metavar="FILE", help="word text file")
+    _add_source(p, "benzel", "triangle", "word", word="word text file")
     p.add_argument("--basepoint", metavar="X,Y")
     p.add_argument(
         "--seed",
@@ -308,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("-o", "--output", metavar="FILE")
     for name in ("count", "enumerate", "freq"):
         ps = tile_sub.add_parser(name)
-        _add_region_source(ps)
+        _add_source(
+            ps, "benzel", "region", benzel="benzel parameters", region="region JSON file"
+        )
         ps.add_argument(
             "--tiles", choices=sorted(_TILESETS), required=True, help="prototile set"
         )
@@ -332,11 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("render", help="write an SVG figure")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--tiling", metavar="FILE")
-    src.add_argument("--region", metavar="FILE")
-    src.add_argument("--benzel", metavar="A,B")
-    src.add_argument("--triangle", type=int, metavar="N")
+    _add_source(p, "tiling", "region", "benzel", "triangle")
     p.add_argument("--word", metavar="FILE", help="overlay a word from a file")
     p.add_argument("--boundary", action="store_true", help="overlay the traced boundary")
     p.add_argument("--shadow", action="store_true", help="overlay a shadow path")
@@ -348,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "benzel": _cmd_benzel,
-    "triangle": _cmd_triangle,
+    "benzel": _cmd_region,
+    "triangle": _cmd_region,
     "shadow": _cmd_shadow,
     "tile": _cmd_tile,
     "scan": _cmd_scan,
@@ -366,7 +360,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("resource-limit")
         print(f"resource-limit: {e}", file=sys.stderr)
         return 3
-    except (TrihexError, OSError) as e:
+    except (TrihexError, OSError, UnicodeDecodeError) as e:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(e)}))
         else:

@@ -397,6 +397,16 @@ def region_to_json(r: Region) -> dict:
     return {"cells": [[c.x, c.y] for c in r.sorted_cells()]}
 
 
+def point_from_json(item: object, what: str) -> LatticePoint:
+    """The point of an [x, y] pair of JSON integers (bools are not integers
+    here); FormatError(f"{what} {item!r}") for anything else."""
+    if isinstance(item, list) and len(item) == 2:
+        x, y = item
+        if isinstance(x, int) and isinstance(y, int) and bool not in (type(x), type(y)):
+            return LatticePoint(x, y)
+    raise FormatError(f"{what} {item!r}")
+
+
 def region_from_json(obj: object) -> Region:
     """Parse a region from its JSON dict (or the raw file text)."""
     if isinstance(obj, str):
@@ -413,15 +423,7 @@ def region_from_json(obj: object) -> Region:
         raise FormatError("region file lacks a 'cells' key")
     if not isinstance(obj["cells"], list):
         raise FormatError("'cells' must be a list")
-    cells = []
-    for item in obj["cells"]:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
-            raise FormatError(f"bad cell entry {item!r}")
-        cells.append(LatticePoint(item[0], item[1]))
+    cells = [point_from_json(item, "bad cell entry") for item in obj["cells"]]
     if len(set(cells)) != len(cells):
         raise FormatError("duplicate cells in region file")
     try:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .errors import InvalidParams
 from .hexlattice import LatticePoint, Word
 from .regions import BenzelParams, Region, boundary_cycle, bounding_hexagon, cell_corners
 from .tilings import TILE_OFFSETS, TileKind, Tiling
@@ -26,23 +27,23 @@ _TILE_FILLS: Dict[TileKind, str] = {
     TileKind.STONE_R: "#e9a3c9",
     TileKind.STONE_L: "#c2b2d6",
 }
+_MARGIN = 10.0
+_CELL_FILL, _CELL_STROKE, _TILE_STROKE = "#f5f0e6", "#999999", "#222222"
+_BOUNDARY_STROKE, _SHADOW_STROKE, _HEXAGON_STROKE = "#d62728", "#1f77b4", "#888888"
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Knobs for the SVG output: scale, palette, and the cell and hexagon
-    layers; the other layers are drawn whenever they are given."""
+    """The scale of the SVG output (a positive, finite length per lattice
+    unit) and whether to draw the cell layer; every other layer is drawn
+    whenever it is given."""
 
     unit: float = 20.0
-    margin: float = 10.0
-    cell_fill: str = "#f5f0e6"
-    cell_stroke: str = "#999999"
-    tile_stroke: str = "#222222"
-    boundary_stroke: str = "#d62728"
-    shadow_stroke: str = "#1f77b4"
-    hexagon_stroke: str = "#888888"
     show_cells: bool = True
-    show_hexagon: bool = False
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.unit) and self.unit > 0):
+            raise InvalidParams(f"unit must be positive and finite, got {self.unit!r}")
 
 
 def embed(p: LatticePoint, unit: float) -> Tuple[float, float]:
@@ -97,10 +98,10 @@ def render_svg(
     if tiling is not None and region is None:
         region = tiling.region
 
-    if hexagon is not None and spec.show_hexagon:
+    if hexagon is not None:
         elements.append(
             f'<polygon class="hexagon" points="{points(bounding_hexagon(hexagon))}" '
-            f'fill="none" stroke="{spec.hexagon_stroke}" stroke-width="1" '
+            f'fill="none" stroke="{_HEXAGON_STROKE}" stroke-width="1" '
             'stroke-dasharray="4 3" />'
         )
 
@@ -108,7 +109,7 @@ def render_svg(
         for c in region.sorted_cells():
             elements.append(
                 f'<polygon class="cell" points="{points(cell_corners(c))}" '
-                f'fill="{spec.cell_fill}" stroke="{spec.cell_stroke}" '
+                f'fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
                 'stroke-width="1" />'
             )
 
@@ -117,7 +118,7 @@ def render_svg(
             outline = points(p.anchor + d for d in _TILE_RINGS[p.kind])
             elements.append(
                 f'<polygon class="tile" points="{outline}" '
-                f'fill="{_TILE_FILLS[p.kind]}" stroke="{spec.tile_stroke}" '
+                f'fill="{_TILE_FILLS[p.kind]}" stroke="{_TILE_STROKE}" '
                 'stroke-width="2" />'
             )
         if not (spec.show_cells and tiling.region == region):
@@ -125,8 +126,8 @@ def render_svg(
                 points(cell_corners(c))
 
     for word, cls, stroke in (
-        (boundary, "boundary", spec.boundary_stroke),
-        (shadow, "shadow", spec.shadow_stroke),
+        (boundary, "boundary", _BOUNDARY_STROKE),
+        (shadow, "shadow", _SHADOW_STROKE),
     ):
         if word is not None:
             elements.append(
@@ -138,9 +139,9 @@ def render_svg(
     corners = [embed(q, spec.unit) for q in drawn] or [(0.0, 0.0)]
     xs = [x for x, _ in corners]
     ys = [y for _, y in corners]
-    x0, y0 = min(xs) - spec.margin, min(ys) - spec.margin
-    w = max(xs) - min(xs) + 2 * spec.margin
-    h = max(ys) - min(ys) + 2 * spec.margin
+    x0, y0 = min(xs) - _MARGIN, min(ys) - _MARGIN
+    w = max(xs) - min(xs) + 2 * _MARGIN
+    h = max(ys) - min(ys) + 2 * _MARGIN
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '

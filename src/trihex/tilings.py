@@ -31,7 +31,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
 from .hexlattice import LatticePoint, class_of
-from .regions import Region, region_from_json, region_to_json
+from .regions import Region, point_from_json, region_from_json, region_to_json
 
 
 class TileKind(Enum):
@@ -224,7 +224,9 @@ def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
         limit = float(memo_limit_mb) * 1024 * 1024
     except ValueError:
         limit = math.nan
-    if not math.isfinite(limit):  # int() raises on nan and infinities
+    # int() raises on nan and infinities; a negative cap is bad input, not a
+    # cap that every sweep exceeds
+    if not math.isfinite(limit) or limit < 0:
         raise ResourceLimit(f"bad {name} value {memo_limit_mb!r}")
     return int(limit)
 
@@ -548,15 +550,9 @@ def tiling_from_json(obj: object) -> Tiling:
         kind = kinds_by_value.get(entry["kind"])
         if kind is None:
             raise FormatError(f"unknown tile kind {entry['kind']!r}")
-        anchor = entry["anchor"]
-        if (
-            not isinstance(anchor, list)
-            or len(anchor) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in anchor)
-        ):
-            raise FormatError(f"bad anchor {anchor!r}")
+        anchor = point_from_json(entry["anchor"], "bad anchor")
         try:
-            placs.append(Placement(kind, LatticePoint(anchor[0], anchor[1])))
+            placs.append(Placement(kind, anchor))
         except InvalidPlacement as e:
             raise FormatError(str(e))
     return Tiling(region, tuple(placs))

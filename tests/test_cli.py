@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -270,3 +271,150 @@ def test_non_finite_memo_limit_env(capsys, monkeypatch, command, value):
     assert code == 3
     assert out.strip() == "resource-limit"
     assert "TRIBONE_MEMO_LIMIT_MB" in err
+
+
+# --- one input path ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--show-hexagon", "--boundary", "--shadow", "--unit", "7.5"],
+            "85b55ddb16452473019df3b7f4cb956ea5a69e1652d2c0dd7fffa4d2db858f87",
+        ),
+        (
+            ["--no-cells"],
+            "941765b744161a17d64dd41d09614ba470f6b8b7220205766f95b243fb1b78eb",
+        ),
+    ],
+)
+def test_render_stdout_is_unchanged(capsys, argv, digest):
+    code, out, err = run(capsys, "render", "--benzel", "5,7", *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tile", "count", "--benzel", "5", "--tiles", "bones"],
+         "expected 'a,b' integers, got '5'"),
+        (["tile", "count", "--benzel", "5,x", "--tiles", "bones"],
+         "expected 'a,b' integers, got '5,x'"),
+        (["render", "--benzel", "5,7,9"], "expected 'a,b' integers, got '5,7,9'"),
+        (["shadow", "--basepoint", "1", "--triangle", "3"],
+         "expected 'x,y' integers, got '1'"),
+        (["shadow", "--basepoint", "a,b", "--benzel", "4,4"],
+         "expected 'x,y' integers, got 'a,b'"),
+        (["tile", "freq", "--benzel", "5,7", "--tiles", "bones",
+          "--placement", "boneAB,1,y"], "expected 'x,y' integers, got '1,y'"),
+    ],
+)
+def test_input_error_messages(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+_FILE_OPTIONS = [
+    ["tile", "count", "--tiles", "bones", "--region"],
+    ["tile", "enumerate", "--tiles", "bones", "--region"],
+    ["tile", "freq", "--tiles", "bones", "--placement", "boneAB,-1,0", "--region"],
+    ["shadow", "--word"],
+    ["render", "--region"],
+    ["render", "--tiling"],
+    ["render", "--triangle", "3", "--word"],
+]
+
+
+@pytest.mark.parametrize("argv", _FILE_OPTIONS)
+def test_missing_file(capsys, tmp_path, argv):
+    path = str(tmp_path / "absent")
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tile", "count", "--tiles", "bones", "--region"],
+        ["render", "--region"],
+        ["render", "--tiling"],
+    ],
+)
+def test_file_that_is_not_json(capsys, tmp_path, argv):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", _FILE_OPTIONS)
+def test_file_that_is_not_text(capsys, tmp_path, argv):
+    path = tmp_path / "bytes.bin"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command", ["render", "shadow"])
+def test_triangle_size_must_be_positive(capsys, command, n):
+    code, out, err = run(capsys, command, "--triangle", n)
+    assert code == 2 and out == ""
+    assert err == f"error: triangle size must be a positive integer, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--benzel", ""],
+        ["render", "--region", ""],
+        ["render", "--tiling", ""],
+        ["render", "--triangle", "3", "--word", ""],
+        ["shadow", "--benzel", ""],
+        ["shadow", "--word", ""],
+        ["tile", "count", "--tiles", "bones", "--benzel", ""],
+        ["tile", "count", "--tiles", "bones", "--region", ""],
+    ],
+)
+def test_empty_option_value_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("unit", ["nan", "inf", "-inf", "0", "-5"])
+def test_render_unit_must_be_positive_and_finite(capsys, unit):
+    code, out, err = run(capsys, "render", "--triangle", "3", f"--unit={unit}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["count", "freq"])
+def test_negative_memo_limit(capsys, command):
+    code, out, err = _tile_on_a_fresh_region(capsys, command, "--memo-limit-mb=-1")
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert err.startswith("resource-limit: bad memo_limit_mb value ")
+
+
+@pytest.mark.parametrize("command", ["count", "freq", "enumerate"])
+def test_negative_memo_limit_env(capsys, monkeypatch, command):
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "-1")
+    code, out, err = _tile_on_a_fresh_region(capsys, command)
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert err == "resource-limit: bad TRIBONE_MEMO_LIMIT_MB value '-1'\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-0"])
+def test_zero_memo_limit_is_a_cap(capsys, value):
+    code, out, err = _tile_on_a_fresh_region(capsys, "count", f"--memo-limit-mb={value}")
+    assert code == 3
+    assert out.strip() == "resource-limit"
+    assert "over the cap of 0 MB" in err

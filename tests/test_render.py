@@ -1,8 +1,12 @@
 """Unit tests for the SVG layer composition."""
 
 import hashlib
+import math
 import re
 
+import pytest
+
+from trihex.errors import InvalidParams
 from trihex.hexlattice import LatticePoint
 from trihex.pentagonal import construct_tiling, pentagonal_benzel
 from trihex.regions import (
@@ -77,7 +81,7 @@ def test_hexagon_layer_and_toggles():
     svg = render_svg(
         region=benzel(p),
         hexagon=p,
-        spec=RenderSpec(show_hexagon=True, show_cells=False),
+        spec=RenderSpec(show_cells=False),
     )
     assert svg.count('class="hexagon"') == 1
     assert 'class="cell"' not in svg
@@ -106,7 +110,7 @@ def test_construction_renders_are_unchanged():
             tiling=t, boundary=w, shadow=shadow_word(w, w.basepoint)
         ),
         "8ea4ad00fcd3ea3a366e8728635bc7a413f2ebf1ca92c566fe83cfd193583ba1": render_svg(
-            tiling=t, hexagon=pentagonal_benzel(3), spec=RenderSpec(show_hexagon=True)
+            tiling=t, hexagon=pentagonal_benzel(3)
         ),
     }
     for digest, svg in docs.items():
@@ -118,3 +122,9 @@ def test_empty_document():
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-10.00 -10.00 20.00 20.00" '
         'width="20.00" height="20.00">\n</svg>\n'
     )
+
+
+@pytest.mark.parametrize("unit", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0])
+def test_unit_must_be_positive_and_finite(unit):
+    with pytest.raises(InvalidParams, match="unit"):
+        RenderSpec(unit=unit)

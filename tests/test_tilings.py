@@ -15,7 +15,14 @@ from trihex.errors import (
     ResourceLimit,
 )
 from trihex.hexlattice import LatticePoint, rotate120
-from trihex.regions import BenzelParams, Region, benzel, region_from_cells, triangle
+from trihex.regions import (
+    BenzelParams,
+    Region,
+    benzel,
+    region_from_cells,
+    region_from_json,
+    triangle,
+)
 from trihex.shadow import cl_invariant_path
 from trihex.tilings import (
     BONES,
@@ -285,6 +292,48 @@ def test_non_finite_memo_limit_env_var(monkeypatch, value):
         next(enumerate_tilings(r, BONES))
 
 
+def _fresh_frequency(memo_limit_mb=None):
+    """placement_frequency on one bone's cells, after a call on another
+    region, so no kept table answers it."""
+    placement_frequency(benzel(BenzelParams(5, 7)), BONES, Placement(TileKind.BONE_AB, LatticePoint(-1, 0)))
+    p = Placement(TileKind.BONE_AB, ANCHOR)
+    return placement_frequency(Region(frozenset(cells_of(p))), BONES, p, memo_limit_mb)
+
+
+def test_one_bone_frequency():
+    assert _fresh_frequency() == 1
+
+
+@pytest.mark.parametrize("value", [-1, -0.5, -math.inf])
+def test_negative_memo_limit(value):
+    with pytest.raises(ResourceLimit, match="bad memo_limit_mb value"):
+        count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
+    with pytest.raises(ResourceLimit, match="bad memo_limit_mb value"):
+        _fresh_frequency(value)
+
+
+def test_negative_memo_limit_env_var(monkeypatch):
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "-1")
+    r = benzel(BenzelParams(5, 7))
+    message = "bad TRIBONE_MEMO_LIMIT_MB value '-1'"
+    with pytest.raises(ResourceLimit, match=message):
+        count_tilings(r, BONES)
+    with pytest.raises(ResourceLimit, match=message):
+        _fresh_frequency()
+    with pytest.raises(ResourceLimit, match=message):
+        next(enumerate_tilings(r, BONES))
+
+
+@pytest.mark.parametrize("value", [0, -0.0, "0"])
+def test_zero_memo_limit_is_a_cap(monkeypatch, value):
+    r = benzel(BenzelParams(5, 7))
+    with pytest.raises(ResourceLimit, match="over the cap of 0 MB"):
+        count_tilings(r, BONES, memo_limit_mb=value)
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", str(value))
+    with pytest.raises(ResourceLimit, match="over the cap of 0 MB"):
+        count_tilings(r, BONES)
+
+
 def test_stone_balance_and_histogram():
     r = benzel(BenzelParams(3, 3))
     for t in enumerate_tilings(r, STONES_AND_BONES):
@@ -333,6 +382,37 @@ def test_tiling_json_rejects_bad_input():
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB"}]})
     with pytest.raises(FormatError):
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]})
+
+
+
+_ODD_PAIRS = [
+    True, [True, -2], [-2, False], [1.0, -2], [-2, -2.0], [-2], [-2, -2, 0],
+    (-2, -2), "-2,-2", None, [None, -2], ["-2", "-2"], {"x": -2}, -2,
+]
+
+
+@pytest.mark.parametrize("entry", _ODD_PAIRS, ids=repr)
+def test_json_pairs_reject_odd_entries(entry):
+    # Cells and anchors go through one [x, y] integer-pair check.
+    with pytest.raises(FormatError) as cell:
+        region_from_json({"cells": [[-2, -2], entry]})
+    assert str(cell.value) == f"bad cell entry {entry!r}"
+    tiles = [{"kind": "boneAB", "anchor": entry}]
+    with pytest.raises(FormatError) as anchor:
+        tiling_from_json({"region": {"cells": []}, "tiles": tiles})
+    assert str(anchor.value) == f"bad anchor {entry!r}"
+
+
+def test_json_pairs_take_integers_of_any_size():
+    big = 3 * 2**64 - 2  # class -1 with y = -2
+    assert region_from_json({"cells": [[big, -2]]}).cells == {LatticePoint(big, -2)}
+    tiles = [{"kind": "boneAB", "anchor": [big, -2]}]
+    t = tiling_from_json({"region": {"cells": []}, "tiles": tiles})
+    assert t.placements == (Placement(TileKind.BONE_AB, LatticePoint(big, -2)),)
+    with pytest.raises(FormatError, match="has class 0, not -1"):
+        region_from_json({"cells": [[2**65, -2]]})
+    with pytest.raises(FormatError, match="has class 0, not -1"):
+        tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [2**65, -2]}]})
 
 
 # -- placement frequencies ----------------------------------------------------
