@@ -295,7 +295,8 @@ def test_non_finite_memo_limit_env_var(monkeypatch, value):
 def _fresh_frequency(memo_limit_mb=None):
     """placement_frequency on one bone's cells, after a call on another
     region, so no kept table answers it."""
-    placement_frequency(benzel(BenzelParams(5, 7)), BONES, Placement(TileKind.BONE_AB, LatticePoint(-1, 0)))
+    other = Placement(TileKind.BONE_AB, LatticePoint(-1, 0))
+    placement_frequency(benzel(BenzelParams(5, 7)), BONES, other)
     p = Placement(TileKind.BONE_AB, ANCHOR)
     return placement_frequency(Region(frozenset(cells_of(p))), BONES, p, memo_limit_mb)
 
@@ -384,7 +385,6 @@ def test_tiling_json_rejects_bad_input():
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]})
 
 
-
 _ODD_PAIRS = [
     True, [True, -2], [-2, False], [1.0, -2], [-2, -2.0], [-2], [-2, -2, 0],
     (-2, -2), "-2,-2", None, [None, -2], ["-2", "-2"], {"x": -2}, -2,
@@ -406,13 +406,16 @@ def test_json_pairs_reject_odd_entries(entry):
 def test_json_pairs_take_integers_of_any_size():
     big = 3 * 2**64 - 2  # class -1 with y = -2
     assert region_from_json({"cells": [[big, -2]]}).cells == {LatticePoint(big, -2)}
-    tiles = [{"kind": "boneAB", "anchor": [big, -2]}]
-    t = tiling_from_json({"region": {"cells": []}, "tiles": tiles})
+    t = tiling_from_json(
+        {"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [big, -2]}]}
+    )
     assert t.placements == (Placement(TileKind.BONE_AB, LatticePoint(big, -2)),)
     with pytest.raises(FormatError, match="has class 0, not -1"):
         region_from_json({"cells": [[2**65, -2]]})
     with pytest.raises(FormatError, match="has class 0, not -1"):
-        tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [2**65, -2]}]})
+        tiling_from_json(
+            {"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [2**65, -2]}]}
+        )
 
 
 # -- placement frequencies ----------------------------------------------------
