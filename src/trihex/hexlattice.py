@@ -147,10 +147,7 @@ class Word:
         return len(self.steps)
 
     def displacement(self) -> LatticePoint:
-        d = ORIGIN
-        for s in self.steps:
-            d = d + s.vector
-        return d
+        return self.vertices()[-1] - self.basepoint
 
     @property
     def is_closed(self) -> bool:
@@ -168,10 +165,7 @@ class Word:
         if not self.steps:
             return self
         k %= len(self.steps)
-        base = self.basepoint
-        for s in self.steps[:k]:
-            base = base + s.vector
-        return Word(self.steps[k:] + self.steps[:k], base)
+        return Word(self.steps[k:] + self.steps[:k], self.vertices()[k])
 
     def tokens(self) -> List[str]:
         return [s.value for s in self.steps]

@@ -51,9 +51,9 @@ _CORNER_OFFSETS = (
 )
 
 # Edge i of a cell, from corner i to corner i + 1: the offsets of its tail
-# and head, and of the center of the cell on its other side.
+# and head, and of the center of the cell on its other side, as six ints.
 _CELL_EDGES = tuple(
-    (u, w, u + w)
+    (u.x, u.y, w.x, w.y, u.x + w.x, u.y + w.y)
     for u, w in zip(_CORNER_OFFSETS, _CORNER_OFFSETS[1:] + _CORNER_OFFSETS[:1])
 )
 
@@ -66,7 +66,7 @@ class Region:
 
     def __post_init__(self) -> None:
         for c in self.cells:
-            if class_of(c) != -1:
+            if (c[0] + c[1]) % 3 != 2:
                 raise InvalidParams(f"cell center {c} has class {class_of(c)}, not -1")
 
     def __len__(self) -> int:
@@ -197,11 +197,13 @@ def triangle(n: int) -> Region:
 
 
 _STEP_FOR_VECTOR = {s.vector: s for s in Step}
+_Pair = Tuple[int, int]
 
 
 def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
     """The counterclockwise boundary of a set of cells as a vertex cycle,
-    starting at the lexicographically smallest vertex.
+    starting at the lexicographically smallest vertex.  The work is done
+    on plain (x, y) integer pairs; only the ring returned is made of points.
 
     Edge i of a cell (corner i to corner i + 1) is on the boundary exactly
     when the cell across it is not in the set.  Every vertex of the hexagon
@@ -213,29 +215,27 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
     edge-connected" when another cycle runs counterclockwise, and "not a
     single closed curve" when every other cycle goes round a hole.
     """
-    succ: Dict[LatticePoint, LatticePoint] = {}
-    for c in cells:
-        for tail, head, across in _CELL_EDGES:
-            if c + across not in cells:
-                v = c + tail
+    succ: Dict[_Pair, _Pair] = {}
+    for x, y in cells:
+        for tx, ty, hx, hy, ax, ay in _CELL_EDGES:
+            if (x + ax, y + ay) not in cells:
+                v = (x + tx, y + ty)
                 if v in succ:
-                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
-                succ[v] = c + head
+                    raise NotSimplyConnected(f"boundary pinches at vertex {LatticePoint(*v)}")
+                succ[v] = (x + hx, y + hy)
     ring = _cycle(succ, min(succ))
     if len(ring) == len(succ):
-        return ring
+        return list(map(LatticePoint._make, ring))
     left = set(succ).difference(ring)
     while left:
         other = _cycle(succ, left.pop())
         left.difference_update(other)
-        if sum(cross(v, succ[v]) for v in other) > 0:
+        if sum(x * succ[x, y][1] - succ[x, y][0] * y for x, y in other) > 0:
             raise NotSimplyConnected("region cells are not edge-connected")
     raise NotSimplyConnected("region boundary is not a single closed curve")
 
 
-def _cycle(
-    succ: Dict[LatticePoint, LatticePoint], start: LatticePoint
-) -> List[LatticePoint]:
+def _cycle(succ: Dict[_Pair, _Pair], start: _Pair) -> List[_Pair]:
     ring = [start]
     v = succ[start]
     while v != start:
@@ -258,7 +258,8 @@ def trace_boundary(r: Region) -> Word:
     ring = boundary_cycle(r.cells)
     k = ring.index(min(v for v in ring if class_of(v) == 0))
     ring = ring[k:] + ring[:k]
-    steps = [_STEP_FOR_VECTOR[w - v] for v, w in zip(ring, ring[1:] + ring[:1])]
+    pairs = zip(ring, ring[1:] + ring[:1])
+    steps = [_STEP_FOR_VECTOR[(wx - vx, wy - vy)] for (vx, vy), (wx, wy) in pairs]
     return Word(tuple(steps), ring[0])
 
 
@@ -375,18 +376,14 @@ def cyclically_equal(u: Word, v: Word) -> bool:
     n = len(u.steps)
     if n == 0:
         return u.basepoint == v.basepoint
-    edges_u = _edge_sequence(u)
-    edges_v = _edge_sequence(v)
+    verts_u, verts_v = u.vertices(), v.vertices()
+    edges_u = list(zip(verts_u, verts_u[1:]))
+    edges_v = list(zip(verts_v, verts_v[1:]))
     for k in range(n):
         if edges_v[k] == edges_u[0]:
             if all(edges_v[(k + i) % n] == edges_u[i] for i in range(n)):
                 return True
     return False
-
-
-def _edge_sequence(w: Word) -> List[Tuple[LatticePoint, LatticePoint]]:
-    verts = w.vertices()
-    return [(verts[i], verts[i + 1]) for i in range(len(w.steps))]
 
 
 # --- file formats -----------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParams
 from .hexlattice import LatticePoint, Word
-from .regions import BenzelParams, Region, boundary_cycle, bounding_hexagon, cell_corners
+from .regions import _CORNER_OFFSETS, BenzelParams, Region, boundary_cycle, bounding_hexagon
 from .tilings import TILE_OFFSETS, TileKind, Tiling
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -78,21 +78,25 @@ def render_svg(
     Each tile is drawn as one closed path: the cell edges not shared
     between two cells of the same tile.  The viewBox spans every vertex
     drawn, and the corners of the tiling's cells when the cell layer did
-    not draw them.
+    not draw them.  Vertices stay plain integer pairs: screen x depends
+    only on u = 2x - y and screen y only on y, so each distinct u and y is
+    formatted once, keyed by value.
     """
     elements: List[str] = []
-    # Each distinct vertex is embedded and formatted once; its keys are the
-    # vertices the viewBox must span.
-    drawn: Dict[LatticePoint, str] = {}
+    unit = spec.unit
+    # unit * (u / 2.0) is the float embed gives while |x|, |y| < 2**51.
+    # The keys of xs and ys are the values the viewBox must span.
+    xs: Dict[int, str] = {}
+    ys: Dict[int, str] = {}
 
-    def points(vertices: Iterable[LatticePoint]) -> str:
+    def points(ring: Iterable[Tuple[int, int]], ax: int = 0, ay: int = 0) -> str:
         out = []
-        for q in vertices:
-            text = drawn.get(q)
-            if text is None:
-                x, y = embed(q, spec.unit)
-                text = drawn[q] = f"{_fmt(x)},{_fmt(y)}"
-            out.append(text)
+        for dx, dy in ring:  # each vertex of ring moved by (ax, ay)
+            y = ay + dy
+            u = 2 * (ax + dx) - y
+            tx = xs.get(u) or xs.setdefault(u, _fmt(unit * (u / 2.0)))
+            ty = ys.get(y) or ys.setdefault(y, _fmt(unit * (-y * _SQRT3_2)))
+            out.append(f"{tx},{ty}")
         return " ".join(out)
 
     if tiling is not None and region is None:
@@ -106,24 +110,24 @@ def render_svg(
         )
 
     if region is not None and spec.show_cells:
-        for c in region.sorted_cells():
+        for cx, cy in region.sorted_cells():
             elements.append(
-                f'<polygon class="cell" points="{points(cell_corners(c))}" '
+                f'<polygon class="cell" points="{points(_CORNER_OFFSETS, cx, cy)}" '
                 f'fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
                 'stroke-width="1" />'
             )
 
     if tiling is not None:
         for p in tiling.placements:
-            outline = points(p.anchor + d for d in _TILE_RINGS[p.kind])
+            outline = points(_TILE_RINGS[p.kind], *p.anchor)
             elements.append(
                 f'<polygon class="tile" points="{outline}" '
                 f'fill="{_TILE_FILLS[p.kind]}" stroke="{_TILE_STROKE}" '
                 'stroke-width="2" />'
             )
         if not (spec.show_cells and tiling.region == region):
-            for c in tiling.region.cells:
-                points(cell_corners(c))
+            for cx, cy in tiling.region.cells:
+                points(_CORNER_OFFSETS, cx, cy)
 
     for word, cls, stroke in (
         (boundary, "boundary", _BOUNDARY_STROKE),
@@ -136,15 +140,17 @@ def render_svg(
                 'stroke-linejoin="round" />'
             )
 
-    corners = [embed(q, spec.unit) for q in drawn] or [(0.0, 0.0)]
-    xs = [x for x, _ in corners]
-    ys = [y for _, y in corners]
-    x0, y0 = min(xs) - _MARGIN, min(ys) - _MARGIN
-    w = max(xs) - min(xs) + 2 * _MARGIN
-    h = max(ys) - min(ys) + 2 * _MARGIN
+    # Both embeddings are monotone, so the keys give the extremes.
+    left, right = (unit * (u / 2.0) for u in (min(xs, default=0), max(xs, default=0)))
+    top, bottom = (unit * (-y * _SQRT3_2) for y in (max(ys, default=0), min(ys, default=0)))
+    x0, y0 = left - _MARGIN, top - _MARGIN
+    w = right - left + 2 * _MARGIN
+    h = bottom - top + 2 * _MARGIN
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
         f'width="{_fmt(w)}" height="{_fmt(h)}">'
     )
-    return "\n".join([header] + elements + ["</svg>"]) + "\n"
+    elements.insert(0, header)
+    elements += ["</svg>", ""]
+    return "\n".join(elements)

@@ -538,6 +538,8 @@ def tiling_from_json(obj: object) -> Tiling:
         raise FormatError(f"unknown tiling keys {sorted(extra)}")
     if "region" not in obj or "tiles" not in obj:
         raise FormatError("tiling needs 'region' and 'tiles'")
+    if not isinstance(obj["region"], dict):  # region_from_json also takes text
+        raise FormatError("region file must be a JSON object")
     region = region_from_json(obj["region"])
     tiles = obj["tiles"]
     if not isinstance(tiles, list):

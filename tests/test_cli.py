@@ -352,6 +352,16 @@ def test_file_that_is_not_json(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+def test_tiling_region_given_as_text(capsys, tmp_path):
+    region = {"cells": [[-2, -2], [-1, 0], [0, -1]]}
+    tiles = [{"kind": "stoneR", "anchor": [-2, -2]}]
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps({"region": json.dumps(region), "tiles": tiles}))
+    code, out, err = run(capsys, "render", "--tiling", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: region file must be a JSON object\n"
+
+
 @pytest.mark.parametrize("argv", _FILE_OPTIONS)
 def test_file_that_is_not_text(capsys, tmp_path, argv):
     path = tmp_path / "bytes.bin"

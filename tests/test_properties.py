@@ -9,11 +9,12 @@ from trihex.hexlattice import (
     LatticePoint,
     Word,
     class_of,
+    cross,
     rotate120,
     signed_area,
     step_for,
 )
-from trihex.regions import Region, find_spurs, trace_boundary
+from trihex.regions import Region, boundary_cycle, find_spurs, trace_boundary
 from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
 from trihex.tilings import (
     BONES,
@@ -171,6 +172,22 @@ def _holes(cells):
     return _pieces(box - cells) - 1
 
 
+def _grown_cells(picks, removals, far_picks, shift, skew=0):
+    """Cells grown from picks, some removed, and at times a second grown
+    piece moved 3 * shift + skew to the right.  Removals may cut the region
+    or open holes in it; the second piece is near enough at times to touch
+    the first, and with skew 1 or 2 its cells are centred on vertices of
+    the first piece's graph, so their outlines can meet at a vertex."""
+    cells = set(_grow(picks).cells)
+    for k in removals:
+        if cells:
+            cells.discard(sorted(cells)[k % len(cells)])
+    if far_picks:
+        dx = 3 * shift + skew
+        cells.update(LatticePoint(c.x + dx, c.y) for c in _grow(far_picks).cells)
+    return cells
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(
     st.lists(st.integers(0, 2**20), min_size=1, max_size=15),
@@ -179,12 +196,7 @@ def _holes(cells):
     st.integers(0, 12),
 )
 def test_trace_boundary_on_grown_regions(picks, removals, far_picks, shift):
-    cells = set(_grow(picks).cells)
-    for k in removals:  # removals may cut the region or open holes in it
-        if cells:
-            cells.discard(sorted(cells)[k % len(cells)])
-    if far_picks:  # a second piece, near enough at times to touch the first
-        cells.update(LatticePoint(c.x + 3 * shift, c.y) for c in _grow(far_picks).cells)
+    cells = _grown_cells(picks, removals, far_picks, shift)
     r = Region(frozenset(cells))
     try:
         w = trace_boundary(r)
@@ -199,3 +211,93 @@ def test_trace_boundary_on_grown_regions(picks, removals, far_picks, shift):
     else:
         assert _pieces(cells) == 1 and _holes(cells) == 0
         assert signed_area(w) == len(r)
+
+
+# The LatticePoint version of boundary_cycle, kept as the reference that
+# the integer version must match ring for ring and message for message.
+_REFERENCE_CORNERS = (
+    LatticePoint(1, 0),
+    LatticePoint(1, 1),
+    LatticePoint(0, 1),
+    LatticePoint(-1, 0),
+    LatticePoint(-1, -1),
+    LatticePoint(0, -1),
+)
+_REFERENCE_EDGES = tuple(
+    (u, w, u + w)
+    for u, w in zip(_REFERENCE_CORNERS, _REFERENCE_CORNERS[1:] + _REFERENCE_CORNERS[:1])
+)
+
+
+def _reference_boundary_cycle(cells):
+    succ = {}
+    for c in cells:
+        for tail, head, across in _REFERENCE_EDGES:
+            if c + across not in cells:
+                v = c + tail
+                if v in succ:
+                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
+                succ[v] = c + head
+    ring = _reference_cycle(succ, min(succ))
+    if len(ring) == len(succ):
+        return ring
+    left = set(succ).difference(ring)
+    while left:
+        other = _reference_cycle(succ, left.pop())
+        left.difference_update(other)
+        if sum(cross(v, succ[v]) for v in other) > 0:
+            raise NotSimplyConnected("region cells are not edge-connected")
+    raise NotSimplyConnected("region boundary is not a single closed curve")
+
+
+def _reference_cycle(succ, start):
+    ring = [start]
+    v = succ[start]
+    while v != start:
+        ring.append(v)
+        v = succ[v]
+    return ring
+
+
+def _frame(cells):
+    """A band of cells four columns and rows wide round a box that holds
+    the cells with five to spare, so the cells sit in its hole."""
+    xs, ys = [c.x for c in cells], [c.y for c in cells]
+    x0, x1, y0, y1 = min(xs) - 5, max(xs) + 5, min(ys) - 5, max(ys) + 5
+    return {
+        LatticePoint(x, y)
+        for x in range(x0 - 4, x1 + 5)
+        for y in range(y0 - 4, y1 + 5)
+        if (x + y) % 3 == 2 and not (x0 <= x <= x1 and y0 <= y <= y1)
+    }
+
+
+def _boundary_outcome(f, cells):
+    try:
+        return f(cells)
+    except NotSimplyConnected as e:
+        return str(e)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**20), min_size=1, max_size=15),
+    st.lists(st.integers(0, 2**20), max_size=14),
+    st.lists(st.integers(0, 2**20), max_size=4),
+    st.integers(-12, 12),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_boundary_cycle_matches_the_reference(
+    picks, removals, far_picks, shift, skew, framed
+):
+    cells = _grown_cells(picks, removals, far_picks, shift, skew)
+    if not cells:
+        return
+    if framed:  # pieces or holes of the cells become islands in a hole
+        cells |= _frame(cells)
+    cells = frozenset(cells)
+    mine = _boundary_outcome(boundary_cycle, cells)
+    assert mine == _boundary_outcome(_reference_boundary_cycle, cells)
+    if isinstance(mine, list):
+        assert all(type(v) is LatticePoint for v in mine)

@@ -7,20 +7,42 @@ import re
 import pytest
 
 from trihex.errors import InvalidParams
-from trihex.hexlattice import LatticePoint
+from trihex.hexlattice import LatticePoint, rotate120
 from trihex.pentagonal import construct_tiling, pentagonal_benzel
 from trihex.regions import (
     BenzelParams,
     Region,
     benzel,
     boundary_cycle,
+    bounding_hexagon,
+    cell_corners,
     region_from_cells,
     trace_boundary,
     triangle,
 )
-from trihex.render import RenderSpec, embed, render_svg
+from trihex.render import (
+    _BOUNDARY_STROKE,
+    _CELL_FILL,
+    _CELL_STROKE,
+    _HEXAGON_STROKE,
+    _MARGIN,
+    _SHADOW_STROKE,
+    _TILE_FILLS,
+    _TILE_STROKE,
+    RenderSpec,
+    embed,
+    render_svg,
+)
 from trihex.shadow import shadow_word
-from trihex.tilings import Placement, TileKind, Tiling, cells_of
+from trihex.tilings import (
+    STONES_AND_BONES,
+    TILE_OFFSETS,
+    Placement,
+    TileKind,
+    Tiling,
+    cells_of,
+    enumerate_tilings,
+)
 
 
 def test_embed_unit_lengths():
@@ -128,3 +150,126 @@ def test_empty_document():
 def test_unit_must_be_positive_and_finite(unit):
     with pytest.raises(InvalidParams, match="unit"):
         RenderSpec(unit=unit)
+
+
+# The render that embeds and formats every drawn vertex as a LatticePoint,
+# kept as the reference that render_svg must match byte for byte.
+def _reference_fmt(v):
+    out = f"{v:.2f}"
+    return "0.00" if out == "-0.00" else out
+
+
+_REFERENCE_RINGS = {kind: boundary_cycle(offsets) for kind, offsets in TILE_OFFSETS.items()}
+
+
+def _reference_render_svg(
+    region=None, tiling=None, boundary=None, shadow=None, hexagon=None, spec=RenderSpec()
+):
+    elements = []
+    drawn = {}
+
+    def points(vertices):
+        out = []
+        for q in vertices:
+            text = drawn.get(q)
+            if text is None:
+                x, y = embed(q, spec.unit)
+                text = drawn[q] = f"{_reference_fmt(x)},{_reference_fmt(y)}"
+            out.append(text)
+        return " ".join(out)
+
+    if tiling is not None and region is None:
+        region = tiling.region
+    if hexagon is not None:
+        elements.append(
+            f'<polygon class="hexagon" points="{points(bounding_hexagon(hexagon))}" '
+            f'fill="none" stroke="{_HEXAGON_STROKE}" stroke-width="1" '
+            'stroke-dasharray="4 3" />'
+        )
+    if region is not None and spec.show_cells:
+        for c in region.sorted_cells():
+            elements.append(
+                f'<polygon class="cell" points="{points(cell_corners(c))}" '
+                f'fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
+                'stroke-width="1" />'
+            )
+    if tiling is not None:
+        for p in tiling.placements:
+            outline = points(p.anchor + d for d in _REFERENCE_RINGS[p.kind])
+            elements.append(
+                f'<polygon class="tile" points="{outline}" '
+                f'fill="{_TILE_FILLS[p.kind]}" stroke="{_TILE_STROKE}" '
+                'stroke-width="2" />'
+            )
+        if not (spec.show_cells and tiling.region == region):
+            for c in tiling.region.cells:
+                points(cell_corners(c))
+    for word, cls, stroke in (
+        (boundary, "boundary", _BOUNDARY_STROKE),
+        (shadow, "shadow", _SHADOW_STROKE),
+    ):
+        if word is not None:
+            elements.append(
+                f'<polyline class="{cls}" points="{points(word.vertices())}" '
+                f'fill="none" stroke="{stroke}" stroke-width="2.5" '
+                'stroke-linejoin="round" />'
+            )
+    corners = [embed(q, spec.unit) for q in drawn] or [(0.0, 0.0)]
+    xs = [x for x, _ in corners]
+    ys = [y for _, y in corners]
+    x0, y0 = min(xs) - _MARGIN, min(ys) - _MARGIN
+    w = max(xs) - min(xs) + 2 * _MARGIN
+    h = max(ys) - min(ys) + 2 * _MARGIN
+    f = _reference_fmt
+    header = (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{f(x0)} {f(y0)} {f(w)} {f(h)}" '
+        f'width="{f(w)}" height="{f(h)}">'
+    )
+    return "\n".join([header] + elements + ["</svg>"]) + "\n"
+
+
+def _moved(region, turns, shift):
+    """The region turned by turns * 120 degrees about the origin, then
+    moved by shift (a class-0 offset, so cell centres stay cell centres)."""
+    cells = region.cells
+    for _ in range(turns):
+        cells = [rotate120(c) for c in cells]
+    return Region(frozenset(LatticePoint(c.x + shift[0], c.y + shift[1]) for c in cells))
+
+
+def _scenes():
+    """Keyword arguments of render_svg: every layer, negative coordinates,
+    tilings with and without their cells, tilings drawn over a region that
+    is not theirs, and tilings whose few tiles leave their region's undrawn
+    cell corners to set the viewBox."""
+    scenes = [{}]
+    for source, turns, shift in (
+        (benzel(BenzelParams(4, 5)), 1, (-30, -12)),
+        (benzel(BenzelParams(3, 6)), 2, (9, -27)),
+        (triangle(6), 0, (-300, 600)),
+        (triangle(5), 1, (0, 0)),
+    ):
+        r = _moved(source, turns, shift)
+        w = trace_boundary(r)
+        t = next(enumerate_tilings(r, STONES_AND_BONES))
+        half = Region(frozenset(r.sorted_cells()[: len(r) // 2]))
+        scenes += [
+            {"region": r, "boundary": w, "shadow": shadow_word(w, w.basepoint)},
+            {"region": r, "hexagon": BenzelParams(4, 5), "show_cells": False},
+            {"tiling": t, "boundary": w, "show_cells": False},
+            {"tiling": t, "region": half},
+            {"tiling": t, "region": half, "show_cells": False},
+            {"tiling": Tiling(r, t.placements[1:3]), "show_cells": False},
+            {"tiling": Tiling(r, t.placements[:1]), "region": half},
+            {"tiling": t, "shadow": shadow_word(w, w.basepoint), "hexagon": BenzelParams(3, 6)},
+        ]
+    return scenes
+
+
+@pytest.mark.parametrize("unit", [0.001, 0.37, 7.3, 20.0, 1e6, 1e13])
+def test_render_matches_the_reference(unit):
+    for scene in _scenes():
+        kwargs = dict(scene)
+        spec = RenderSpec(unit=unit, show_cells=kwargs.pop("show_cells", True))
+        assert render_svg(spec=spec, **kwargs) == _reference_render_svg(spec=spec, **kwargs)

@@ -385,6 +385,18 @@ def test_tiling_json_rejects_bad_input():
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]})
 
 
+def test_tiling_region_must_be_an_object():
+    # A region given as JSON text inside the tiling is not the documented
+    # shape, though region_from_json takes text from a region file.
+    region = {"cells": [[-2, -2], [-1, 0], [0, -1]]}
+    tiles = [{"kind": "stoneR", "anchor": [-2, -2]}]
+    assert tiling_from_json({"region": region, "tiles": tiles}).region.cells
+    for odd in (json.dumps(region), [[-2, -2]], 7, None):
+        with pytest.raises(FormatError) as e:
+            tiling_from_json({"region": odd, "tiles": tiles})
+        assert str(e.value) == "region file must be a JSON object"
+
+
 _ODD_PAIRS = [
     True, [True, -2], [-2, False], [1.0, -2], [-2, -2.0], [-2], [-2, -2, 0],
     (-2, -2), "-2,-2", None, [None, -2], ["-2", "-2"], {"x": -2}, -2,
