@@ -59,7 +59,6 @@ from .shadow import (
     ALL_SEEDS,
     DEFAULT_SEED,
     InvariantValue,
-    ShadowSeed,
     StepKind,
     area_formula,
     cl_invariant_formula,

@@ -38,7 +38,6 @@ from .regions import (
 from .render import RenderSpec, render_svg
 from .shadow import (
     DEFAULT_SEED,
-    ShadowSeed,
     area_formula,
     cl_invariant_formula,
     cl_invariant_path,
@@ -162,9 +161,12 @@ def _cmd_shadow(args: argparse.Namespace) -> int:
         word = trace_boundary(_resolve(args)[0])
     seed = DEFAULT_SEED
     if args.seed is not None:
-        if len(args.seed) != 2:
-            raise TrihexError(f"expected two seed letters, got {args.seed!r}")
-        seed = ShadowSeed(*args.seed)
+        # Both letters are checked, but only the first picks the shadow.
+        if args.seed not in [f + s for f in "abc" for s in "abc" if f != s]:
+            raise TrihexError(
+                f"expected two distinct seed letters from abc, got {args.seed!r}"
+            )
+        seed = args.seed[0]
     base = word.basepoint
     if args.basepoint is not None:
         base = LatticePoint(*_parse_ints(args.basepoint, "x,y"))
@@ -179,6 +181,8 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if args.tile_cmd == "construct":
         _write(args.output, json.dumps(tiling_to_json(construct_tiling(args.k))) + "\n")
         return 0
+    if getattr(args, "limit", None) is not None and args.limit < 0:
+        raise TrihexError(f"--limit must be 0 or more, got {args.limit}")
     region = _resolve(args)[0]
     tileset = _TILESETS[args.tiles]
     if args.tile_cmd == "count":
@@ -237,6 +241,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    if args.show_hexagon and args.benzel is None:
+        raise TrihexError("--show-hexagon needs --benzel")
     spec = RenderSpec(unit=args.unit, show_cells=not args.no_cells)
     region, tiling, params = _resolve(args)
     boundary = shadow = None
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--seed",
         metavar="LL",
-        help="two distinct letters from abc; only the first picks the shadow",
+        help="two distinct letters from abc; the first picks the shadow",
     )
     p.add_argument("--json", action="store_true")
 

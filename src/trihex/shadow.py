@@ -34,31 +34,11 @@ class StepKind(Enum):
     SPUR_SITE = "spur"
 
 
-@dataclass(frozen=True)
-class ShadowSeed:
-    """The letters a shadow path is started with: a first letter (3
-    options) and a non-backtracking second letter (2 options).
+# The first letter of a shadow path picks the shadow: three shadows per
+# basepoint, one per letter.
+ALL_SEEDS = ("a", "b", "c")
 
-    Only the first letter picks the shadow (see shadow_word), so the six
-    ALL_SEEDS give three distinct shadows, one per first letter; the
-    second letter is validated but never steers the path.
-    """
-
-    first: str
-    second: str
-
-    def __post_init__(self) -> None:
-        if self.first not in ("a", "b", "c") or self.second not in ("a", "b", "c"):
-            raise InvalidParams(f"seed letters must be a/b/c, got {self}")
-        if self.first == self.second:
-            raise InvalidParams("second seed letter would backtrack the first")
-
-
-DEFAULT_SEED = ShadowSeed("b", "a")
-
-ALL_SEEDS = tuple(
-    ShadowSeed(f, s) for f in "abc" for s in "abc" if f != s
-)
+DEFAULT_SEED = "b"
 
 
 @dataclass(frozen=True)
@@ -138,14 +118,14 @@ def _shadow_step(v: LatticePoint, label: int) -> Step:
 def shadow_word(
     w: Word,
     basepoint: LatticePoint = ORIGIN,
-    seed: ShadowSeed = DEFAULT_SEED,
+    seed: str = DEFAULT_SEED,
 ) -> Word:
     """A closed word of equal length that shadows w from the given basepoint.
 
     The basepoint must share w's basepoint class (both 0 or both 1).
     Construction: put the face-alternating edge labeling on the hexagon
-    graph; the seed's first letter (together with w's first non-spur
-    letter) fixes a bijection between step letters and labels, and the
+    graph; the seed, the shadow's first letter (together with w's first
+    non-spur letter), fixes a bijection between step letters and labels, and the
     shadow then traverses, step by step, the edge carrying its step's
     label.  The result winds where w weaves and weaves where w winds.  An
     edge carries the same label seen from either end, so each spur pair of
@@ -155,6 +135,8 @@ def shadow_word(
     Closure is asserted, not assumed; failure means w was not a valid
     hexagon-graph boundary word.
     """
+    if seed not in ALL_SEEDS:
+        raise InvalidParams(f"seed must be one letter from abc, got {seed!r}")
     if not w.is_closed:
         raise ShadowNotClosed("can only shadow a closed word")
     if class_of(basepoint) != class_of(w.basepoint):
@@ -170,18 +152,16 @@ def shadow_word(
         raise ShadowNotClosed("closed spur-free hexagon words have length >= 6")
 
     # Fix the letter -> label bijection from the seed: w's first non-spur
-    # letter gets the label of the seed's first edge at the basepoint, and
-    # the bijection extends cyclically (a -> b -> c maps to label+1).
-    # Only the cyclic bijections give the invariant its correct sign (the
-    # anticyclic ones produce the mirror shadow, whose area is -I), so the
-    # second seed letter does not steer the path; it stays part of the
-    # seed because either non-backtracking choice names the same shadow.
+    # letter gets the label of the seed's edge at the basepoint, and the
+    # bijection extends cyclically (a -> b -> c maps to label+1).  Only the
+    # cyclic bijections give the invariant its correct sign (the
+    # anticyclic ones produce the mirror shadow, whose area is -I).
     # From a class-1 basepoint the roles of the two vertex classes are
     # swapped and the matching bijection runs anticyclically; that is what
     # makes the enclosed area come out as -I(R) there.
     sign = 1 if class_of(basepoint) == 0 else -1
     l1 = free[0].letter
-    first = next(x for x in range(3) if _shadow_step(basepoint, x).letter == seed.first)
+    first = next(x for x in range(3) if _shadow_step(basepoint, x).letter == seed)
     k = first - sign * "abc".index(l1)
     label_of = {x: (sign * "abc".index(x) + k) % 3 for x in "abc"}
 
@@ -196,33 +176,12 @@ def shadow_word(
     return Word(tuple(steps), basepoint)
 
 
-def cl_invariant_path(
-    r: Region,
-    basepoint: LatticePoint = ORIGIN,
-    seed: ShadowSeed = DEFAULT_SEED,
-) -> InvariantValue:
-    """The Conway-Lagarias invariant of a simply connected region, via the
-    signed area of a shadow of its boundary word.
-
-    Any class-0 or class-1 shadow basepoint may be used; a class-1
-    basepoint flips the sign of the shadow area, which is undone here so
-    the result is always I(R).
-    """
+def cl_invariant_path(r: Region) -> InvariantValue:
+    """The Conway-Lagarias invariant of a simply connected region: the
+    signed area of a shadow of its traced boundary, taken from the
+    boundary's own class-0 basepoint."""
     boundary = trace_boundary(r)  # class-0 basepoint, counterclockwise
-    cls = class_of(basepoint)
-    if cls == 1:
-        boundary = _rotate_to_class(boundary, 1)
-    elif cls != 0:
-        raise InvalidParams(f"basepoint {basepoint} has class {cls}, not 0 or 1")
-    area = signed_area(shadow_word(boundary, basepoint, seed))
-    return InvariantValue(-area if cls == 1 else area)
-
-
-def _rotate_to_class(w: Word, cls: int) -> Word:
-    for k, v in enumerate(w.vertices()[:-1]):
-        if class_of(v) == cls:
-            return w.rotated(k)
-    raise InvalidParams(f"word visits no class-{cls} vertex")
+    return InvariantValue(signed_area(shadow_word(boundary, boundary.basepoint)))
 
 
 def area_formula(p: BenzelParams) -> int:

@@ -51,10 +51,6 @@ class TileKind(Enum):
     # output iterates a set of kinds without sorting it.
     __hash__ = object.__hash__
 
-    @property
-    def is_stone(self) -> bool:
-        return self in (TileKind.STONE_R, TileKind.STONE_L)
-
 
 # Offsets from the anchor (the lexicographically smallest covered cell).
 # Bone axes are the center-difference directions 1 - w = (1,-1),
@@ -440,10 +436,8 @@ def enumerate_tilings(
 def stone_balance(t: Tiling) -> int:
     """3 x (number of right stones - number of left stones); the quantity
     every tiling of a fixed region shares."""
-    _require_valid(t)
-    r = sum(1 for p in t.placements if p.kind is TileKind.STONE_R)
-    l = sum(1 for p in t.placements if p.kind is TileKind.STONE_L)
-    return 3 * (r - l)
+    *_, right, left = orientation_histogram(t)
+    return 3 * (right - left)
 
 
 def orientation_histogram(t: Tiling) -> Tuple[int, int, int, int, int]:

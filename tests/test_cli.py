@@ -195,6 +195,17 @@ def test_render_is_deterministic(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("option", ["--region", "--tiling"])
+def test_render_show_hexagon_needs_a_benzel(tmp_path, capsys, option):
+    f = tmp_path / "in.json"
+    assert run(capsys, "tile", "construct", "--k", "2", "-o", str(f))[0] == 0
+    if option == "--region":
+        f.write_text(json.dumps(json.loads(f.read_text())["region"]))
+    code, out, err = run(capsys, "render", option, str(f), "--show-hexagon")
+    assert code == 2 and out == ""
+    assert err == "error: --show-hexagon needs --benzel\n"
+
+
 def test_render_bad_file(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{")
@@ -234,11 +245,18 @@ def test_scan_with_no_benzels_prints_the_header(capsys):
     assert out.split() == ["a", "b", "class", "cellCount", "invariantI", "pentagonalK"]
 
 
-@pytest.mark.parametrize("seed", ["a", "abc", ""])
+@pytest.mark.parametrize("seed", ["a", "abc", "", "aa", "ad"])
 def test_shadow_seed_needs_two_letters(capsys, seed):
     code, out, err = run(capsys, "shadow", "--benzel", "4,4", "--seed", seed)
     assert code == 2 and out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: expected two distinct seed letters from abc, got {seed!r}\n"
+
+
+def test_shadow_seed_second_letter_changes_nothing(capsys):
+    code1, out1, _ = run(capsys, "shadow", "--benzel", "4,4", "--seed", "ab")
+    code2, out2, _ = run(capsys, "shadow", "--benzel", "4,4", "--seed", "ac")
+    assert code1 == code2 == 0
+    assert out1 == out2
 
 
 def _tile_on_a_fresh_region(capsys, command, *extra):
@@ -309,6 +327,10 @@ def test_render_stdout_is_unchanged(capsys, argv, digest):
          "expected 'x,y' integers, got 'a,b'"),
         (["tile", "freq", "--benzel", "5,7", "--tiles", "bones",
           "--placement", "boneAB,1,y"], "expected 'x,y' integers, got '1,y'"),
+        (["tile", "enumerate", "--benzel", "3,3", "--tiles", "bones",
+          "--limit", "-1"], "--limit must be 0 or more, got -1"),
+        (["render", "--triangle", "3", "--show-hexagon"],
+         "--show-hexagon needs --benzel"),
     ],
 )
 def test_input_error_messages(capsys, argv, message):

@@ -24,8 +24,10 @@ from trihex.tilings import (
     TileKind,
     cells_of,
     count_tilings,
+    enumerate_tilings,
     placement_frequency,
     placements,
+    stone_balance,
 )
 
 _NEIGHBOURS = ((1, -1), (1, 2), (2, 1), (-1, 1), (-1, -2), (-2, -1))
@@ -140,6 +142,23 @@ def test_reflections_and_the_invariant(picks):
     # maps each stone to a stone of the same chirality, so it keeps I.
     mirror = Region(frozenset(LatticePoint(c.y, c.x) for c in r.cells))
     assert cl_invariant_path(mirror).I == I
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=10))
+def test_enumeration_and_the_invariant_on_grown_regions(picks):
+    r, _ = _simply_connected(picks)
+    I = cl_invariant_path(r).I
+    # The mirror (x, y) -> (2 - y, 2 - x) maps tilings to tilings.
+    mirror = Region(frozenset(LatticePoint(2 - c.y, 2 - c.x) for c in r.cells))
+    for tileset in (BONES, STONES_AND_BONES):
+        tilings = list(enumerate_tilings(r, tileset))
+        assert len(tilings) == count_tilings(r, tileset)
+        assert count_tilings(mirror, tileset) == len(tilings)
+        assert all(stone_balance(t) == I for t in tilings)
+    # A bone tiling has no stones, so I != 0 leaves none.
+    if I != 0:
+        assert count_tilings(r, BONES) == 0
 
 
 def _pieces(cells):

@@ -27,7 +27,6 @@ from trihex.shadow import (
     ALL_SEEDS,
     DEFAULT_SEED,
     InvariantValue,
-    ShadowSeed,
     StepKind,
     area_formula,
     cl_invariant_formula,
@@ -58,11 +57,11 @@ def spur_pair_steps(w: Word) -> set:
 
 
 def test_seed_validation():
-    with pytest.raises(InvalidParams):
-        ShadowSeed("a", "a")
-    with pytest.raises(InvalidParams):
-        ShadowSeed("d", "a")
-    assert len(ALL_SEEDS) == 6
+    w = trace_boundary(triangle(3))
+    for seed in ("d", "", "ab"):
+        with pytest.raises(InvalidParams):
+            shadow_word(w, w.basepoint, seed)
+    assert len(ALL_SEEDS) == 3
 
 
 def test_invariant_value_rescaling():
@@ -123,11 +122,10 @@ def test_shadow_area_independent_of_seed_and_basepoint():
             if class_of(v) == 0:
                 values.add(signed_area(shadow_word(w.rotated(k), v, seed)))
     assert len(values) == 1
-    # Only the first seed letter picks the shadow: six seeds, three shadows.
-    shadows = {seed: shadow_word(w, w.basepoint, seed) for seed in ALL_SEEDS}
-    assert len(set(shadows.values())) == 3
-    for s in ALL_SEEDS:
-        assert all(shadows[s] == shadows[t] for t in ALL_SEEDS if t.first == s.first)
+    # Three seed letters, three distinct shadows of one area.
+    shadows = {shadow_word(w, w.basepoint, seed) for seed in ALL_SEEDS}
+    assert len(shadows) == 3
+    assert {signed_area(s) for s in shadows} == values
 
 
 def test_class1_basepoint_negates_the_area():
@@ -151,15 +149,6 @@ def test_invariant_examples():
     assert cl_invariant_path(benzel(BenzelParams(3, 3))).I == 3
     assert cl_invariant_path(triangle(6)).I == 6
     assert cl_invariant_formula(BenzelParams(5, 7)).I == 0
-
-
-def test_invariant_path_accepts_class1_basepoint():
-    r = benzel(BenzelParams(4, 4))
-    w = trace_boundary(r)
-    v1 = next(v for v in w.vertices() if class_of(v) == 1)
-    assert cl_invariant_path(r, v1).I == cl_invariant_path(r).I
-    with pytest.raises(InvalidParams):
-        cl_invariant_path(r, LatticePoint(-2, -2))  # class -1
 
 
 def test_shadow_of_spurred_closed_form_keeps_length():
