@@ -124,12 +124,14 @@ def shadow_word(
 
     The basepoint must share w's basepoint class (both 0 or both 1).
     Construction: put the face-alternating edge labeling on the hexagon
-    graph; the seed, the shadow's first letter (together with w's first
-    non-spur letter), fixes a bijection between step letters and labels, and the
-    shadow then traverses, step by step, the edge carrying its step's
-    label.  The result winds where w weaves and weaves where w winds.  An
-    edge carries the same label seen from either end, so each spur pair of
-    w becomes a spur pair along one edge at the same positions.  Spurs
+    graph; w's first non-spur letter gets the label of the edge at the
+    basepoint whose step has the seed letter, which fixes a bijection
+    between step letters and labels, and the shadow then traverses, step
+    by step, the edge carrying its step's label.  The three seed letters
+    give three shadows of one area.  The result winds where w weaves and
+    weaves where w winds.  An edge carries the same label seen from
+    either end, so each spur pair of w becomes a spur pair along one edge
+    at the same positions.  Spurs
     must be isolated (NonIsolatedSpur otherwise); a word made only of spur
     pairs encloses nothing and gives the empty word at the basepoint.
     Closure is asserted, not assumed; failure means w was not a valid
