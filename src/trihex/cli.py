@@ -46,9 +46,9 @@ from .shadow import (
 )
 from .tilings import (
     BONES,
+    KIND_BY_NAME,
     STONES_AND_BONES,
     Placement,
-    TileKind,
     Tiling,
     count_tilings,
     placement_frequency,
@@ -75,10 +75,10 @@ def _parse_placement(text: str) -> Placement:
     kind_str, sep, rest = text.partition(",")
     if not sep:
         raise TrihexError(f"expected 'KIND,X,Y', got {text!r}")
-    kinds = {k.value: k for k in TileKind}
-    if kind_str not in kinds:
+    kind = KIND_BY_NAME.get(kind_str)
+    if kind is None:
         raise TrihexError(f"unknown tile kind {kind_str!r}")
-    return Placement(kinds[kind_str], LatticePoint(*_parse_ints(rest, "x,y")))
+    return Placement(kind, LatticePoint(*_parse_ints(rest, "x,y")))
 
 
 def _read(path: str, parse: Callable[[str], T]) -> T:
@@ -97,13 +97,15 @@ def _write(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _tiling_doc(text: str) -> object:
-    # Kept apart from tiling_from_json so that the text is freed before the
-    # tiling is built beside its parsed document.
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"bad tiling JSON: {e}") from None
+def _read_json(path: str, what: str) -> object:
+    """The decoded JSON document in the file at path; what names it in the
+    error.  Only the document outlives the call, so the text is freed
+    before a region or tiling is built beside it."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"bad {what} JSON: {e}") from None
 
 
 def _resolve(
@@ -114,10 +116,10 @@ def _resolve(
     option lacks."""
     region = tiling = params = None
     if getattr(args, "tiling", None) is not None:
-        tiling = tiling_from_json(_read(args.tiling, _tiling_doc))
+        tiling = tiling_from_json(_read_json(args.tiling, "tiling"))
         region = tiling.region
     elif getattr(args, "region", None) is not None:
-        region = _read(args.region, region_from_json)
+        region = region_from_json(_read_json(args.region, "region"))
     elif args.benzel is not None:
         params = BenzelParams(*_parse_ints(args.benzel, "a,b"))
         region = benzel(params)
@@ -221,6 +223,8 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.search_cap < 0:
+        raise TrihexError(f"--search-cap must be 0 or more, got {args.search_cap}")
     rows = _scan_rows(args)
     if args.json:
         print(json.dumps(rows))

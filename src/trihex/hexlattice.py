@@ -40,6 +40,9 @@ class LatticePoint(NamedTuple):
     def scaled(self, k: int) -> "LatticePoint":
         return LatticePoint(k * self.x, k * self.y)
 
+    def __str__(self) -> str:
+        return f"({self.x}, {self.y})"
+
 
 ORIGIN = LatticePoint(0, 0)
 
@@ -77,50 +80,29 @@ class Step(Enum):
     """One of the six unit steps of the hexagon graph.
 
     a, b, c point from 0 to 1, omega, omega^2 respectively; the primed
-    steps are their negations.  a + b + c = 0.
+    steps are their negations.  a + b + c = 0.  Each member carries its
+    base letter, whether it is primed, its vector and its inverse.
     """
 
-    A = "a"
-    B = "b"
-    C = "c"
-    AP = "a'"
-    BP = "b'"
-    CP = "c'"
+    A = "a", 1, 0
+    B = "b", 0, 1
+    C = "c", -1, -1
+    AP = "a'", -1, 0
+    BP = "b'", 0, -1
+    CP = "c'", 1, 1
 
-    @property
-    def letter(self) -> str:
-        return self.value[0]
-
-    @property
-    def primed(self) -> bool:
-        return len(self.value) == 2
-
-    @property
-    def vector(self) -> LatticePoint:
-        return _STEP_VECTORS[self]
-
-    @property
-    def inverse(self) -> "Step":
-        return _STEP_INVERSES[self]
+    def __new__(cls, token: str, x: int, y: int) -> "Step":
+        step = object.__new__(cls)
+        step._value_ = token
+        step.letter = token[0]
+        step.primed = len(token) == 2
+        step.vector = LatticePoint(x, y)
+        return step
 
 
-_STEP_VECTORS = {
-    Step.A: LatticePoint(1, 0),
-    Step.B: LatticePoint(0, 1),
-    Step.C: LatticePoint(-1, -1),
-    Step.AP: LatticePoint(-1, 0),
-    Step.BP: LatticePoint(0, -1),
-    Step.CP: LatticePoint(1, 1),
-}
-
-_STEP_INVERSES = {
-    Step.A: Step.AP,
-    Step.B: Step.BP,
-    Step.C: Step.CP,
-    Step.AP: Step.A,
-    Step.BP: Step.B,
-    Step.CP: Step.C,
-}
+for _step in Step:
+    _step.inverse = Step(_step.letter + ("" if _step.primed else "'"))
+del _step
 
 _STEP_BY_TOKEN = {s.value: s for s in Step}
 

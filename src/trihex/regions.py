@@ -8,7 +8,6 @@ centers, which are the class--1 lattice points.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Tuple
 
@@ -221,7 +220,7 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
             if (x + ax, y + ay) not in cells:
                 v = (x + tx, y + ty)
                 if v in succ:
-                    raise NotSimplyConnected(f"boundary pinches at vertex {LatticePoint(*v)}")
+                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
                 succ[v] = (x + hx, y + hy)
     ring = _cycle(succ, min(succ))
     if len(ring) == len(succ):
@@ -405,12 +404,7 @@ def point_from_json(item: object, what: str) -> LatticePoint:
 
 
 def region_from_json(obj: object) -> Region:
-    """Parse a region from its JSON dict (or the raw file text)."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"bad region JSON: {e}") from None
+    """Parse a region from its decoded JSON object."""
     if not isinstance(obj, dict):
         raise FormatError("region file must be a JSON object")
     unknown = set(obj) - {"cells"}

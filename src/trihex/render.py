@@ -16,17 +16,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .errors import InvalidParams
 from .hexlattice import LatticePoint, Word
 from .regions import _CORNER_OFFSETS, BenzelParams, Region, boundary_cycle, bounding_hexagon
-from .tilings import TILE_OFFSETS, TileKind, Tiling
+from .tilings import TileKind, Tiling
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
-_TILE_FILLS: Dict[TileKind, str] = {
-    TileKind.BONE_AB: "#9ecae1",
-    TileKind.BONE_BC: "#a1d99b",
-    TileKind.BONE_CA: "#fdae6b",
-    TileKind.STONE_R: "#e9a3c9",
-    TileKind.STONE_L: "#c2b2d6",
-}
+# Tile fills by TileKind.index: boneAB, boneBC, boneCA, stoneR, stoneL.
+_TILE_FILLS = ("#9ecae1", "#a1d99b", "#fdae6b", "#e9a3c9", "#c2b2d6")
 _MARGIN = 10.0
 _CELL_FILL, _CELL_STROKE, _TILE_STROKE = "#f5f0e6", "#999999", "#222222"
 _BOUNDARY_STROKE, _SHADOW_STROKE, _HEXAGON_STROKE = "#d62728", "#1f77b4", "#888888"
@@ -57,12 +52,11 @@ def _fmt(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
-# Each kind's outline about an anchor at the origin.  boundary_cycle only
-# adds and compares offsets, so translating this ring by a placement's
-# anchor gives that tile's outline, still starting at its smallest vertex.
-_TILE_RINGS: Dict[TileKind, List[LatticePoint]] = {
-    kind: boundary_cycle(offsets) for kind, offsets in TILE_OFFSETS.items()
-}
+# Each kind's outline about an anchor at the origin, by TileKind.index.
+# boundary_cycle only adds and compares offsets, so translating this ring
+# by a placement's anchor gives that tile's outline, still starting at its
+# smallest vertex.
+_TILE_RINGS = [boundary_cycle(kind.offsets) for kind in TileKind]
 
 
 def render_svg(
@@ -80,7 +74,8 @@ def render_svg(
     drawn, and the corners of the tiling's cells when the cell layer did
     not draw them.  Vertices stay plain integer pairs: screen x depends
     only on u = 2x - y and screen y only on y, so each distinct u and y is
-    formatted once, keyed by value.
+    formatted once, keyed by value.  Raises InvalidParams when the unit
+    puts the viewBox beyond the float range.
     """
     elements: List[str] = []
     unit = spec.unit
@@ -119,10 +114,10 @@ def render_svg(
 
     if tiling is not None:
         for p in tiling.placements:
-            outline = points(_TILE_RINGS[p.kind], *p.anchor)
+            outline = points(_TILE_RINGS[p.kind.index], *p.anchor)
             elements.append(
                 f'<polygon class="tile" points="{outline}" '
-                f'fill="{_TILE_FILLS[p.kind]}" stroke="{_TILE_STROKE}" '
+                f'fill="{_TILE_FILLS[p.kind.index]}" stroke="{_TILE_STROKE}" '
                 'stroke-width="2" />'
             )
         if not (spec.show_cells and tiling.region == region):
@@ -146,6 +141,9 @@ def render_svg(
     x0, y0 = left - _MARGIN, top - _MARGIN
     w = right - left + 2 * _MARGIN
     h = bottom - top + 2 * _MARGIN
+    # Every coordinate drawn lies between the extremes, so this covers them all.
+    if not all(map(math.isfinite, (x0, y0, w, h))):
+        raise InvalidParams(f"unit {unit!r} is too large: the drawing overflows the float range")
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '

@@ -30,49 +30,46 @@ from enum import Enum
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
-from .hexlattice import LatticePoint, class_of
+from .hexlattice import ORIGIN, LatticePoint, class_of
 from .regions import Region, point_from_json, region_from_json, region_to_json
 
 
 class TileKind(Enum):
     """The five prototiles: bones along each lattice axis and the two stone
     chiralities.  StoneR is the chirality whose boundary shadow encloses
-    area +3; StoneL encloses -3."""
+    area +3; StoneL encloses -3.
 
-    BONE_AB = "boneAB"
-    BONE_BC = "boneBC"
-    BONE_CA = "boneCA"
-    STONE_R = "stoneR"
-    STONE_L = "stoneL"
+    Each member carries its sort position (index: bones before stones, in
+    declaration order) and the offsets of its three cells from the anchor,
+    the lexicographically smallest cell it covers (offsets, the first of
+    them (0, 0)).  Bone axes are the center-difference directions
+    1 - w = (1,-1), w - w^2 = (1,2), and w^2 - 1 = (-2,-1) re-anchored; the
+    stone chirality labels are pinned by the shadow-area criterion (+3 for
+    StoneR).  LatticePoint is a NamedTuple, so a plain (x, y) tuple hashes
+    and compares equal to the point: the hot loops below look cells up by
+    plain tuples built from these offsets instead of adding points.
+    """
 
-    # Members are singletons compared by identity, so the identity hash
-    # agrees with equality; it runs in C, unlike Enum's hash of the name,
-    # and kinds are hashed once per placement on every hot path.  No
-    # output iterates a set of kinds without sorting it.
-    __hash__ = object.__hash__
+    BONE_AB = "boneAB", 0, (1, -1), (2, -2)
+    BONE_BC = "boneBC", 1, (1, 2), (2, 4)
+    BONE_CA = "boneCA", 2, (2, 1), (4, 2)
+    STONE_R = "stoneR", 3, (1, 2), (2, 1)
+    STONE_L = "stoneL", 4, (1, -1), (2, 1)
 
+    def __new__(cls, name: str, index: int, *offsets: Tuple[int, int]) -> "TileKind":
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.index = index
+        kind.offsets = (ORIGIN,) + tuple(LatticePoint(*o) for o in offsets)
+        return kind
 
-# Offsets from the anchor (the lexicographically smallest covered cell).
-# Bone axes are the center-difference directions 1 - w = (1,-1),
-# w - w^2 = (1,2), and w^2 - 1 = (-2,-1) re-anchored; the stone chirality
-# labels are pinned by the shadow-area criterion (+3 for StoneR).
-# LatticePoint is a NamedTuple, so a plain (x, y) tuple hashes and compares
-# equal to the point: the hot loops below look cells up by plain tuples
-# built from these offsets instead of adding points.
-TILE_OFFSETS: Dict[TileKind, Tuple[LatticePoint, ...]] = {
-    TileKind.BONE_AB: (LatticePoint(0, 0), LatticePoint(1, -1), LatticePoint(2, -2)),
-    TileKind.BONE_BC: (LatticePoint(0, 0), LatticePoint(1, 2), LatticePoint(2, 4)),
-    TileKind.BONE_CA: (LatticePoint(0, 0), LatticePoint(2, 1), LatticePoint(4, 2)),
-    TileKind.STONE_R: (LatticePoint(0, 0), LatticePoint(1, 2), LatticePoint(2, 1)),
-    TileKind.STONE_L: (LatticePoint(0, 0), LatticePoint(1, -1), LatticePoint(2, 1)),
-}
 
 BONES = (TileKind.BONE_AB, TileKind.BONE_BC, TileKind.BONE_CA)
 STONES = (TileKind.STONE_R, TileKind.STONE_L)
 STONES_AND_BONES = BONES + STONES
 
-
-_KIND_INDEX = {k: i for i, k in enumerate(TileKind)}
+# Kinds by their file and command-line names.
+KIND_BY_NAME = {k.value: k for k in TileKind}
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,12 @@ class Placement:
 
 
 def _placement_key(p: Placement) -> Tuple[int, LatticePoint]:
-    return (_KIND_INDEX[p.kind], p.anchor)
+    return (p.kind.index, p.anchor)
 
 
 def cells_of(p: Placement) -> Tuple[LatticePoint, LatticePoint, LatticePoint]:
     """The three cells covered by a placement."""
-    o = TILE_OFFSETS[p.kind]
+    o = p.kind.offsets
     return (p.anchor + o[0], p.anchor + o[1], p.anchor + o[2])
 
 
@@ -121,10 +118,9 @@ def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
     deterministic (kind, anchor) order."""
     cells = r.cells
     anchors = sorted(cells)
-    kinds = sorted(set(tileset), key=_KIND_INDEX.__getitem__)
     out: List[Placement] = []
-    for kind in kinds:
-        _, (x1, y1), (x2, y2) = TILE_OFFSETS[kind]  # the first is (0, 0)
+    for kind in [k for k in TileKind if k in tileset]:
+        _, (x1, y1), (x2, y2) = kind.offsets  # the first is (0, 0)
         for anchor in anchors:
             x, y = anchor
             if (x + x1, y + y1) in cells and (x + x2, y + y2) in cells:
@@ -143,15 +139,12 @@ def validation_error(t: Tiling) -> Optional[str]:
     covered: set = set()
     for p in t.placements:
         ax, ay = p.anchor
-        for ox, oy in TILE_OFFSETS[p.kind]:
+        for ox, oy in p.kind.offsets:
             c = (ax + ox, ay + oy)
             if c not in region_cells:
-                return (
-                    f"{p.kind.value} at {p.anchor} spills outside the region "
-                    f"at {LatticePoint(*c)}"
-                )
+                return f"{p.kind.value} at {p.anchor} spills outside the region at {c}"
             if c in covered:
-                return f"cell {LatticePoint(*c)} covered twice ({p.kind.value} at {p.anchor})"
+                return f"cell {c} covered twice ({p.kind.value} at {p.anchor})"
             covered.add(c)
     # Every covered cell lies in the region, once, so equal sizes mean equal sets.
     if len(covered) != len(region_cells):
@@ -193,7 +186,7 @@ class _PlacementTable:
         self.by_first: List[List[Tuple[Placement, int]]] = [[] for _ in range(self.n)]
         for p in placements(r, tileset):
             x, y = p.anchor
-            _, (x1, y1), (x2, y2) = TILE_OFFSETS[p.kind]
+            _, (x1, y1), (x2, y2) = p.kind.offsets
             i0, i1, i2 = index[p.anchor], index[x + x1, y + y1], index[x + x2, y + y2]
             lo = min(i0, i1, i2)
             self.by_first[lo].append((p, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
@@ -313,12 +306,13 @@ def count_tilings(
 
 def _frequency_table(
     r: Region, tileset: Sequence[TileKind], memo_limit_mb: Optional[float]
-) -> Dict[Placement, int]:
-    """The frequency of every placement in placements(r, tileset), from the
-    kept forward sweep and one backward pass over the same states."""
+) -> Dict[Tuple[int, LatticePoint], int]:
+    """The frequency of every placement in placements(r, tileset), keyed by
+    _placement_key, from the kept forward sweep and one backward pass over
+    the same states."""
     table = _PlacementTable(r, tileset, _counting_order)
     n = table.n
-    freq = {p: 0 for ps in table.by_first for p, _bits in ps}
+    freq = {_placement_key(p): 0 for ps in table.by_first for p, _bits in ps}
     if n % 3:
         return freq
     limit = _memo_limit_bytes(memo_limit_mb)
@@ -365,7 +359,7 @@ def _frequency_table(
         if i + reach + 1 <= n:
             backward[i + reach + 1] = None
         for (p, _bits), total in zip(table.by_first[i], sums):
-            freq[p] = total
+            freq[_placement_key(p)] = total
     return freq
 
 
@@ -443,16 +437,10 @@ def stone_balance(t: Tiling) -> int:
 def orientation_histogram(t: Tiling) -> Tuple[int, int, int, int, int]:
     """Per-kind placement counts (nAB, nBC, nCA, nStoneR, nStoneL)."""
     _require_valid(t)
-    counts = {k: 0 for k in TileKind}
+    counts = [0] * len(TileKind)
     for p in t.placements:
-        counts[p.kind] += 1
-    return (
-        counts[TileKind.BONE_AB],
-        counts[TileKind.BONE_BC],
-        counts[TileKind.BONE_CA],
-        counts[TileKind.STONE_R],
-        counts[TileKind.STONE_L],
-    )
+        counts[p.kind.index] += 1
+    return tuple(counts)  # type: ignore[return-value]
 
 
 def _require_valid(t: Tiling) -> None:
@@ -464,7 +452,7 @@ def _require_valid(t: Tiling) -> None:
 # The frequency table of the (region, tileset) asked about last, as one
 # (key, table) pair that is replaced whole, never updated in place.
 _last_frequencies: Optional[
-    Tuple[Tuple[Region, FrozenSet[TileKind]], Dict[Placement, int]]
+    Tuple[Tuple[Region, FrozenSet[TileKind]], Dict[Tuple[int, LatticePoint], int]]
 ] = None
 
 
@@ -496,7 +484,7 @@ def placement_frequency(
     """
     global _last_frequencies
     ax, ay = p.anchor
-    for ox, oy in TILE_OFFSETS[p.kind]:
+    for ox, oy in p.kind.offsets:
         if (ax + ox, ay + oy) not in r.cells:
             raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
     if p.kind not in tileset:
@@ -507,7 +495,7 @@ def placement_frequency(
     if last is None or last[0] != key:
         last = (key, _frequency_table(r, tileset, memo_limit_mb))
         _last_frequencies = last
-    return last[1][p]
+    return last[1][_placement_key(p)]
 
 
 # -- serialization -----------------------------------------------------------
@@ -532,18 +520,15 @@ def tiling_from_json(obj: object) -> Tiling:
         raise FormatError(f"unknown tiling keys {sorted(extra)}")
     if "region" not in obj or "tiles" not in obj:
         raise FormatError("tiling needs 'region' and 'tiles'")
-    if not isinstance(obj["region"], dict):  # region_from_json also takes text
-        raise FormatError("region file must be a JSON object")
     region = region_from_json(obj["region"])
     tiles = obj["tiles"]
     if not isinstance(tiles, list):
         raise FormatError("'tiles' must be a list")
-    kinds_by_value = {k.value: k for k in TileKind}
     placs = []
     for entry in tiles:
         if not isinstance(entry, dict) or set(entry) != {"kind", "anchor"}:
             raise FormatError(f"bad tile entry {entry!r}")
-        kind = kinds_by_value.get(entry["kind"])
+        kind = KIND_BY_NAME.get(entry["kind"])
         if kind is None:
             raise FormatError(f"unknown tile kind {entry['kind']!r}")
         anchor = point_from_json(entry["anchor"], "bad anchor")

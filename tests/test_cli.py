@@ -331,6 +331,8 @@ def test_render_stdout_is_unchanged(capsys, argv, digest):
           "--limit", "-1"], "--limit must be 0 or more, got -1"),
         (["render", "--triangle", "3", "--show-hexagon"],
          "--show-hexagon needs --benzel"),
+        (["scan", "--max", "3", "--search", "--search-cap", "-1"],
+         "--search-cap must be 0 or more, got -1"),
     ],
 )
 def test_input_error_messages(capsys, argv, message):
@@ -372,6 +374,45 @@ def test_file_that_is_not_json(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option", ["--region", "--tiling"])
+def test_json_error_names_the_file(capsys, tmp_path, option):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json\n")
+    code, out, err = run(capsys, "render", option, str(path))
+    assert (code, out) == (2, "")
+    what = option[2:]
+    assert err == f"error: bad {what} JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+_FREQ = ["tile", "freq", "--tiles", "bones", "--benzel", "5,7", "--placement"]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (_FREQ + ["boneAB,0,0"], None, "anchor (0, 0) has class 0, not -1"),
+        (_FREQ + ["boneAB,41,45"], None, "boneAB at (41, 45) is not inside the region"),
+        (["tile", "count", "--tiles", "bones", "--region"], '{"cells": [[0, 0]]}',
+         "cell center (0, 0) has class 0, not -1"),
+        (["render", "--tiling"],
+         '{"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]}',
+         "anchor (0, 0) has class 0, not -1"),
+        (["shadow", "--word"], "base=-2,-2 a b c a b c",
+         "path reached non-vertex point (-2, -2)"),
+    ],
+    ids=["anchor", "outside", "region-cell", "tiling-anchor", "shadow-basepoint"],
+)
+def test_points_print_as_pairs(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "LatticePoint(" not in err
+    assert err == f"error: {message}\n"
 
 
 def test_tiling_region_given_as_text(capsys, tmp_path):
@@ -420,7 +461,7 @@ def test_empty_option_value_is_an_input_error(capsys, argv):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("unit", ["nan", "inf", "-inf", "0", "-5"])
+@pytest.mark.parametrize("unit", ["nan", "inf", "-inf", "0", "-5", "1e308"])
 def test_render_unit_must_be_positive_and_finite(capsys, unit):
     code, out, err = run(capsys, "render", "--triangle", "3", f"--unit={unit}")
     assert code == 2 and out == ""

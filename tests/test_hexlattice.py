@@ -53,6 +53,13 @@ def test_step_roundtrips():
         assert step_for(s.letter, s.primed) is s
         assert s.inverse.inverse is s
         assert s.inverse.vector == -s.vector
+        assert (s.inverse.letter, s.inverse.primed) == (s.letter, not s.primed)
+
+
+def test_points_print_as_pairs():
+    p = LatticePoint(0, -1)
+    assert (str(p), f"at {p}") == ("(0, -1)", "at (0, -1)")
+    assert repr(p) == "LatticePoint(x=0, y=-1)"
 
 
 def test_rotate120_three_times_is_identity():

@@ -19,7 +19,6 @@ from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_wo
 from trihex.tilings import (
     BONES,
     STONES_AND_BONES,
-    TILE_OFFSETS,
     Placement,
     TileKind,
     cells_of,
@@ -46,7 +45,7 @@ def _grow(picks):
         for k in range(pick, pick + 90 * len(order)):
             c = order[k // 90 % len(order)]
             dx, dy = _NEIGHBOURS[k % 6]
-            offsets = TILE_OFFSETS[_KINDS[k // 6 % 5]]
+            offsets = _KINDS[k // 6 % 5].offsets
             ox, oy = offsets[k // 30 % 3]
             ax, ay = c.x + dx - ox, c.y + dy - oy
             tile = [LatticePoint(ax + x, ay + y) for x, y in offsets]

@@ -36,7 +36,6 @@ from trihex.render import (
 from trihex.shadow import shadow_word
 from trihex.tilings import (
     STONES_AND_BONES,
-    TILE_OFFSETS,
     Placement,
     TileKind,
     Tiling,
@@ -152,6 +151,14 @@ def test_unit_must_be_positive_and_finite(unit):
         RenderSpec(unit=unit)
 
 
+def test_render_never_writes_inf():
+    # The unit is finite, but the drawing's width at that unit is not.
+    with pytest.raises(InvalidParams, match="unit 1e[+]308 is too large"):
+        render_svg(region=benzel(BenzelParams(5, 7)), spec=RenderSpec(unit=1e308))
+    svg = render_svg(region=benzel(BenzelParams(5, 7)), spec=RenderSpec(unit=1e300))
+    assert "inf" not in svg and "nan" not in svg
+
+
 # The render that embeds and formats every drawn vertex as a LatticePoint,
 # kept as the reference that render_svg must match byte for byte.
 def _reference_fmt(v):
@@ -159,7 +166,7 @@ def _reference_fmt(v):
     return "0.00" if out == "-0.00" else out
 
 
-_REFERENCE_RINGS = {kind: boundary_cycle(offsets) for kind, offsets in TILE_OFFSETS.items()}
+_REFERENCE_RINGS = {kind: boundary_cycle(kind.offsets) for kind in TileKind}
 
 
 def _reference_render_svg(
@@ -198,7 +205,7 @@ def _reference_render_svg(
             outline = points(p.anchor + d for d in _REFERENCE_RINGS[p.kind])
             elements.append(
                 f'<polygon class="tile" points="{outline}" '
-                f'fill="{_TILE_FILLS[p.kind]}" stroke="{_TILE_STROKE}" '
+                f'fill="{_TILE_FILLS[p.kind.index]}" stroke="{_TILE_STROKE}" '
                 'stroke-width="2" />'
             )
         if not (spec.show_cells and tiling.region == region):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from trihex.errors import (
 )
 from trihex.hexlattice import LatticePoint, rotate120
 from trihex.regions import (
+    CELL_NEIGHBOR_OFFSETS,
     BenzelParams,
     Region,
     benzel,
@@ -26,6 +28,7 @@ from trihex.regions import (
 from trihex.shadow import cl_invariant_path
 from trihex.tilings import (
     BONES,
+    KIND_BY_NAME,
     STONES,
     STONES_AND_BONES,
     Placement,
@@ -58,6 +61,31 @@ def test_cells_of_each_kind():
     for kind, offs in expected.items():
         got = {(c.x - ANCHOR.x, c.y - ANCHOR.y) for c in cells_of(Placement(kind, ANCHOR))}
         assert got == offs, kind
+
+
+def test_kind_data():
+    # What the anchor rule, the sort order and construct_tiling rely on.
+    assert [k.index for k in TileKind] == list(range(5))
+    for kind in TileKind:
+        assert KIND_BY_NAME[kind.value] is kind
+        assert kind.offsets[0] == (0, 0) == min(kind.offsets)
+        assert len(set(kind.offsets)) == 3
+    assert len(KIND_BY_NAME) == 5
+    for kind in BONES:  # three cells in a row
+        _, step, end = kind.offsets
+        assert step in CELL_NEIGHBOR_OFFSETS and end == step.scaled(2)
+    for kind in STONES:  # three pairwise-adjacent cells
+        for u, v in combinations(kind.offsets, 2):
+            assert v - u in CELL_NEIGHBOR_OFFSETS
+
+    def rotated(kind):
+        cells = [rotate120(o) for o in kind.offsets]
+        return sorted(c - min(cells) for c in cells)
+
+    for r, kind in enumerate(BONES):
+        assert rotated(kind) == sorted(BONES[(r + 1) % 3].offsets)
+    for kind in STONES:
+        assert rotated(kind) == sorted(kind.offsets)
 
 
 def test_placement_anchor_must_be_a_cell():
@@ -115,13 +143,12 @@ def test_validation_error_messages():
     bc = Placement(TileKind.BONE_BC, LatticePoint(-2, -2))
     spill = Placement(TileKind.BONE_AB, LatticePoint(2, 0))
     assert validation_error(Tiling(r, (spill,))) == (
-        "boneAB at LatticePoint(x=2, y=0) spills outside the region at "
-        "LatticePoint(x=3, y=-1)"
+        "boneAB at (2, 0) spills outside the region at (3, -1)"
     )
     assert validation_error(Tiling(r, (bc, ab))) == (
-        "cell LatticePoint(x=0, y=2) covered twice (boneBC at LatticePoint(x=-2, y=-2))"
+        "cell (0, 2) covered twice (boneBC at (-2, -2))"
     )
-    assert validation_error(Tiling(r, (ab,))) == "cell LatticePoint(x=-2, y=-2) is uncovered"
+    assert validation_error(Tiling(r, (ab,))) == "cell (-2, -2) is uncovered"
 
 
 def _reference_tilings(r, tileset):
@@ -387,7 +414,7 @@ def test_tiling_json_rejects_bad_input():
 
 def test_tiling_region_must_be_an_object():
     # A region given as JSON text inside the tiling is not the documented
-    # shape, though region_from_json takes text from a region file.
+    # shape.
     region = {"cells": [[-2, -2], [-1, 0], [0, -1]]}
     tiles = [{"kind": "stoneR", "anchor": [-2, -2]}]
     assert tiling_from_json({"region": region, "tiles": tiles}).region.cells
