@@ -90,7 +90,7 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
 
 def _write(path: Optional[str], text: str) -> None:
     """Write text to the file at path, or to stdout when there is none."""
-    if path:
+    if path is not None:
         with open(path, "w") as f:
             f.write(text)
     else:

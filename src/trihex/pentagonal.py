@@ -1,9 +1,10 @@
 """The explicit bone tiling of benzels with pentagonal-pair parameters.
 
 For k >= 2 the (k(3k-1)/2, k(3k+1)/2)-benzel splits into three congruent
-sectors bounded by two lattice paths and their rotations; each sector is a
-stack of diagonal runs whose lengths are divisible by 3, so it can be
-tiled by bones of a single orientation.
+sectors bounded by two lattice paths and their rotations.  Sector 0 is read
+off its despurred outline, whose boundary cells end its diagonal runs; each
+run's length is divisible by 3, so bones of one orientation tile it, and the
+same bones turned by 120 and 240 degrees tile the other two sectors.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from .hexlattice import (
     LatticePoint,
     Word,
     rotate120,
-    winding_numbers,
+    signed_area,
     word_from_string,
 )
-from .regions import BenzelParams, Region, benzel
-from .tilings import BONES, Placement, TileKind, Tiling, cells_of
+from .regions import _CELL_EDGES, BenzelParams, Region, benzel, despur
+from .tilings import Placement, TileKind, Tiling
+
+# The center of the cell on the left of each step, as an offset from the
+# step's tail: edge i of a cell runs counterclockwise round it.
+_LEFT_CELL = {(hx - tx, hy - ty): (-tx, -ty) for tx, ty, hx, hy, _, _ in _CELL_EDGES}
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class Sector:
 
 def pentagonal_benzel(k: int) -> BenzelParams:
     """Parameters (k(3k-1)/2, k(3k+1)/2) of the k-th bone-tileable benzel."""
+    if type(k) is not int:
+        raise InvalidParams(f"pentagonal construction needs an integer k, got {k!r}")
     if k < 2:
         raise InvalidParams(f"pentagonal construction needs k >= 2, got {k}")
     return BenzelParams(k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
@@ -80,71 +87,60 @@ def sector_paths(k: int) -> SectorPaths:
     return paths
 
 
-def _sector0_cells(k: int, region: Region) -> frozenset:
-    """Cells of the benzel strictly between P1 and P2 (winding number 1
-    under the closed polygon P1 followed by reversed P2)."""
+def _sector0_runs(k: int) -> List[Tuple[int, int, int]]:
+    """Sector 0 as diagonal runs (c, lo, hi), the cells (x, c - x) for
+    lo <= x <= hi, by increasing c.
+
+    The sector's outline is P1 then P2 reversed, less the spur pairs where
+    the paths run together.  The cells on the left of its steps are the
+    sector's boundary cells, the outermost two on a diagonal the ends of its
+    run.  A run of a length not divisible by 3, or runs that miss the
+    outline's area (a diagonal holding two runs), mean the sector geometry
+    is wrong, which is a bug rather than bad input.
+    """
     paths = sector_paths(k)
-    reverse = tuple(s.inverse for s in reversed(paths.P2.steps))
-    polygon = Word(paths.P1.steps + reverse, ORIGIN)
-    wn = winding_numbers(polygon, sorted(region.cells))
-    return frozenset(c for c, n in wn.items() if n == 1)
+    back = tuple(s.inverse for s in reversed(paths.P2.steps))
+    outline = despur(Word(paths.P1.steps + back, ORIGIN))
+    xs: Dict[int, List[int]] = {}
+    for v, s in zip(outline.vertices(), outline.steps):
+        dx, dy = _LEFT_CELL[s.vector]
+        xs.setdefault(v.x + v.y + dx + dy, []).append(v.x + dx)
+    runs = [(c, min(xs[c]), max(xs[c])) for c in sorted(xs)]
+    for c, lo, hi in runs:
+        if (hi - lo + 1) % 3:
+            raise ConstructionFailed(
+                f"run of {hi - lo + 1} cells on line x+y={c} is not a multiple of 3"
+            )
+    total, area = sum(hi - lo + 1 for _, lo, hi in runs), signed_area(outline)
+    if total != area:
+        raise ConstructionFailed(f"sector runs hold {total} cells, not the area {area}")
+    return runs
 
 
 def sector_cells(k: int, r: int) -> Sector:
     """Sector r of the pentagonal benzel; the three sectors partition it."""
-    if r not in (0, 1, 2):
-        raise InvalidParams(f"rotation index must be 0, 1, or 2, got {r}")
-    region = benzel(pentagonal_benzel(k))
-    cells = _sector0_cells(k, region)
+    if type(r) is not int or r not in (0, 1, 2):
+        raise InvalidParams(f"rotation index must be 0, 1, or 2, got {r!r}")
+    runs = _sector0_runs(k)
+    cells = [LatticePoint(x, c - x) for c, lo, hi in runs for x in range(lo, hi + 1)]
     for _ in range(r):
-        cells = frozenset(rotate120(c) for c in cells)
-    return Sector(Region(cells), r)
-
-
-def _bone_runs(cells: frozenset) -> List[Placement]:
-    """Tile a sector-0 cell set with a-b bones: group cells into lines of
-    constant x + y (the a-b axis direction), split each line into maximal
-    runs of consecutive x, and fill each run left to right.
-
-    Each run's length must be divisible by 3; a remainder means the sector
-    geometry is wrong, which is a bug rather than bad input.
-    """
-    lines: Dict[int, List[int]] = {}
-    for c in cells:
-        lines.setdefault(c.x + c.y, []).append(c.x)
-    out: List[Placement] = []
-    for key in sorted(lines):
-        xs = sorted(lines[key])
-        run_start = prev = xs[0]
-        runs: List[Tuple[int, int]] = []
-        for x in xs[1:]:
-            if x != prev + 1:
-                runs.append((run_start, prev))
-                run_start = x
-            prev = x
-        runs.append((run_start, prev))
-        for lo, hi in runs:
-            length = hi - lo + 1
-            if length % 3:
-                raise ConstructionFailed(
-                    f"run of {length} cells on line x+y={key} is not a"
-                    " multiple of 3"
-                )
-            for x in range(lo, hi + 1, 3):
-                out.append(Placement(TileKind.BONE_AB, LatticePoint(x, key - x)))
-    return out
+        cells = [rotate120(p) for p in cells]
+    return Sector(Region(frozenset(cells)), r)
 
 
 def construct_tiling(k: int) -> Tiling:
-    """An all-bones tiling of the pentagonal benzel: sector r is filled
-    with bones of orientation r (rotating sector 0's placements)."""
+    """An all-bones tiling of the pentagonal benzel: each run of sector 0
+    is filled with a-b bones from its low end, and each bone anchored at
+    (x, y) is joined by its turns by 120 and 240 degrees, the b-c bone
+    anchored at (-y, x - y) and the c-a bone at (y - x - 4, -x - 2)."""
     region = benzel(pentagonal_benzel(k))
-    sector0 = _sector0_cells(k, region)
     placements: List[Placement] = []
-    for p in _bone_runs(sector0):
-        cells = list(cells_of(p))
-        for r in range(3):
-            if r:
-                cells = [rotate120(c) for c in cells]
-            placements.append(Placement(BONES[r], min(cells)))
+    for c, lo, hi in _sector0_runs(k):
+        for x in range(lo, hi + 1, 3):
+            y = c - x
+            placements += [
+                Placement(TileKind.BONE_AB, LatticePoint(x, y)),
+                Placement(TileKind.BONE_BC, LatticePoint(-y, x - y)),
+                Placement(TileKind.BONE_CA, LatticePoint(y - x - 4, -x - 2)),
+            ]
     return Tiling(region, tuple(placements))

@@ -453,6 +453,8 @@ def test_triangle_size_must_be_positive(capsys, command, n):
         ["shadow", "--word", ""],
         ["tile", "count", "--tiles", "bones", "--benzel", ""],
         ["tile", "count", "--tiles", "bones", "--region", ""],
+        ["tile", "construct", "--k", "2", "-o", ""],
+        ["render", "--triangle", "3", "-o", ""],
     ],
 )
 def test_empty_option_value_is_an_input_error(capsys, argv):

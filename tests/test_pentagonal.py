@@ -5,14 +5,21 @@ import json
 import pytest
 
 from trihex.errors import InvalidParams
-from trihex.hexlattice import LatticePoint, rotate120
+from trihex.hexlattice import (
+    ORIGIN,
+    LatticePoint,
+    Word,
+    rotate120,
+    signed_area,
+    winding_numbers,
+)
 from trihex.pentagonal import (
     construct_tiling,
     pentagonal_benzel,
     sector_cells,
     sector_paths,
 )
-from trihex.regions import benzel
+from trihex.regions import benzel, despur
 from trihex.tilings import (
     BONES,
     enumerate_tilings,
@@ -28,6 +35,11 @@ def test_pentagonal_benzel_values():
     assert (pentagonal_benzel(4).a, pentagonal_benzel(4).b) == (22, 26)
     with pytest.raises(InvalidParams):
         pentagonal_benzel(1)
+    for k in (2.0, True, "2"):
+        for build in (pentagonal_benzel, construct_tiling):
+            with pytest.raises(InvalidParams) as e:
+                build(k)
+            assert str(e.value) == f"pentagonal construction needs an integer k, got {k!r}"
 
 
 def test_sector_path_endpoints():
@@ -58,8 +70,22 @@ def test_sectors_partition_the_benzel():
 def test_sector_rotation_relation():
     base = sector_cells(3, 0).cells.cells
     assert sector_cells(3, 1).cells.cells == frozenset(rotate120(c) for c in base)
-    with pytest.raises(InvalidParams):
-        sector_cells(3, 3)
+    for r in (3, -1, 1.0, True):
+        with pytest.raises(InvalidParams):
+            sector_cells(3, r)
+
+
+def test_sector_matches_the_winding_numbers():
+    """Sector 0 read off its despurred outline is the set of cells that
+    P1 followed by P2 reversed winds round once."""
+    for k in range(2, 13):
+        region = benzel(pentagonal_benzel(k))
+        paths = sector_paths(k)
+        back = tuple(s.inverse for s in reversed(paths.P2.steps))
+        polygon = Word(paths.P1.steps + back, ORIGIN)
+        wn = winding_numbers(polygon, sorted(region.cells))
+        assert sector_cells(k, 0).cells.cells == {c for c, n in wn.items() if n == 1}
+        assert signed_area(despur(polygon)) == len(region) // 3
 
 
 def test_construct_small():
