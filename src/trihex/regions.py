@@ -91,7 +91,7 @@ class BenzelParams:
 
     def __post_init__(self) -> None:
         a, b = self.a, self.b
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):
             raise InvalidParams(f"parameters must be integers, got ({a!r}, {b!r})")
         if not (2 <= a <= 2 * b and 2 <= b <= 2 * a):
             raise InvalidParams(
@@ -107,14 +107,12 @@ class BenzelParams:
     @property
     def s(self) -> int:
         """Repeat count for the short stretches of the boundary word."""
-        num = {0: 0, 1: 2, -1: 1}[self.cls]
-        return (2 * self.a - self.b - num) // 3
+        return (2 * self.a - self.b) // 3
 
     @property
     def t(self) -> int:
         """Repeat count for the long stretches of the boundary word."""
-        num = {0: 0, 1: 2, -1: 1}[self.cls]
-        return (2 * self.b - self.a - num) // 3
+        return (2 * self.b - self.a) // 3
 
 
 def bounding_hexagon(p: BenzelParams) -> Tuple[LatticePoint, ...]:
@@ -186,7 +184,7 @@ def triangle(n: int) -> Region:
     (0-based, apex row first) holds the cells (-2 + i + j, -2 + 2i - j)
     for j = 0..i, which march in steps of 1 - omega.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidParams(f"triangle size must be a positive integer, got {n!r}")
     cells = set()
     for i in range(n):
@@ -262,12 +260,22 @@ def trace_boundary(r: Region) -> Word:
     return Word(tuple(steps), ring[0])
 
 
-def _rep(pattern: str, count: int) -> str:
-    return " ".join([pattern] * count)
+# Per class, the short and the long stretch of the first third of the
+# closed-form word, each as its repeated pattern and the tail after it.
+_THIRDS = {
+    0: ("b a' b c'", "", "c a' b a'", ""),
+    1: ("c' b a' b", "c' b", "a' c a' b", "a' c"),
+    -1: ("a' b c' b", "a'", "b a' c a'", "b"),
+}
+
+# Turning by 120 degrees multiplies by omega: a -> b -> c -> a, signs kept.
+_TURN = str.maketrans("abc", "bca")
 
 
 def boundary_word_closed_form(p: BenzelParams) -> Word:
-    """The closed-form boundary word of the (a, b)-benzel.
+    """The closed-form boundary word of the (a, b)-benzel: one third (s
+    repeats of the class's short pattern and t of its long one, each then
+    its tail), followed by that third turned by 120 and by 240 degrees.
 
     Class 1 words are spur-free; class 0 and -1 words each carry three
     corner spur pairs.  Every class -1 word, and every degenerate class 0
@@ -278,44 +286,13 @@ def boundary_word_closed_form(p: BenzelParams) -> Word:
     at a class-1 point (for class 1, one step a left of the rightmost
     corner; for class -1, the rightmost corner itself).
     """
-    s, t, c = p.s, p.t, p.cls
-    if c == 0:
-        text = " ".join(
-            [
-                _rep("b a' b c'", s),
-                _rep("c a' b a'", t),
-                _rep("c b' c a'", s),
-                _rep("a b' c b'", t),
-                _rep("a c' a b'", s),
-                _rep("b c' a c'", t),
-            ]
-        )
-        base = rightmost_corner(p)
-    elif c == 1:
-        text = " ".join(
-            [
-                _rep("c' b a' b", s), "c' b",
-                _rep("a' c a' b", t), "a' c",
-                _rep("a' c b' c", s), "a' c",
-                _rep("b' a b' c", t), "b' a",
-                _rep("b' a c' a", s), "b' a",
-                _rep("c' b c' a", t), "c' b",
-            ]
-        )
-        base = rightmost_corner(p) + LatticePoint(-1, 0)
-    else:
-        text = " ".join(
-            [
-                _rep("a' b c' b", s), "a'",
-                _rep("b a' c a'", t), "b",
-                _rep("b' c a' c", s), "b'",
-                _rep("c b' a b'", t), "c",
-                _rep("c' a b' a", s), "c'",
-                _rep("a c' b c'", t), "a",
-            ]
-        )
-        base = rightmost_corner(p)
-    return word_from_string(text, base)
+    short, short_tail, long, long_tail = _THIRDS[p.cls]
+    third = " ".join([short] * p.s + [short_tail] + [long] * p.t + [long_tail])
+    turned = third.translate(_TURN)
+    base = rightmost_corner(p)
+    if p.cls == 1:
+        base = base + LatticePoint(-1, 0)
+    return word_from_string(" ".join([third, turned, turned.translate(_TURN)]), base)
 
 
 def find_spurs(w: Word) -> List[int]:
@@ -338,30 +315,25 @@ def find_spurs(w: Word) -> List[int]:
 def despur(w: Word) -> Word:
     """Remove all spur pairs from a closed word.
 
-    Removal is iterated until the word is spur-free; removing one pair can
-    expose another (degenerate boundary words with zero-length stretches do
-    this), and pair removal is confluent, so the result is canonical.  If a
-    spur pair wraps around the end of the word the basepoint moves past it.
+    One stack pass drops each step that retraces the last kept step, which
+    also catches pairs exposed by earlier removals (degenerate boundary
+    words do this); inverse pairs across the ends are then trimmed, the
+    basepoint moving past each.  Pair removal is confluent, so the result
+    is canonical.
     """
-    steps = list(w.steps)
+    steps: List[Step] = []
+    for s in w.steps:
+        if steps and steps[-1] is s.inverse:
+            steps.pop()
+        else:
+            steps.append(s)
     base = w.basepoint
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(steps):
-            if steps[i + 1] is steps[i].inverse:
-                del steps[i : i + 2]
-                changed = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        if len(steps) >= 2 and steps[0] is steps[-1].inverse:
-            base = base + steps[0].vector
-            del steps[-1]
-            del steps[0]
-            changed = True
-    return Word(tuple(steps), base)
+    i, j = 0, len(steps) - 1
+    while i < j and steps[i] is steps[j].inverse:
+        base = base + steps[i].vector
+        i += 1
+        j -= 1
+    return Word(tuple(steps[i : j + 1]), base)
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:

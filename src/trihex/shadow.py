@@ -25,7 +25,7 @@ from .hexlattice import (
     class_of,
     signed_area,
 )
-from .regions import BenzelParams, Region, find_spurs, trace_boundary
+from .regions import BenzelParams, Region, despur, find_spurs, trace_boundary
 
 
 class StepKind(Enum):
@@ -70,12 +70,10 @@ def _spur_steps(w: Word) -> FrozenSet[int]:
     spurs = find_spurs(w)  # raises NonIsolatedSpur on overlap
     if not spurs:
         return frozenset()
-    n = len(w.steps)
-    drop = frozenset(spurs).union((i + 1) % n for i in spurs)
-    kept = [s for i, s in enumerate(w.steps) if i not in drop]
-    if any(s is kept[j - 1].inverse for j, s in enumerate(kept)):
+    if len(despur(w).steps) != len(w.steps) - 2 * len(spurs):
         raise NonIsolatedSpur("spur removal exposed another spur")
-    return drop
+    n = len(w.steps)
+    return frozenset(spurs).union((i + 1) % n for i in spurs)
 
 
 def classify_steps(w: Word) -> List[StepKind]:

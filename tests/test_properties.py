@@ -14,7 +14,14 @@ from trihex.hexlattice import (
     signed_area,
     step_for,
 )
-from trihex.regions import Region, boundary_cycle, find_spurs, trace_boundary
+from trihex.regions import (
+    Region,
+    boundary_cycle,
+    cyclically_equal,
+    despur,
+    find_spurs,
+    trace_boundary,
+)
 from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
 from trihex.tilings import (
     BONES,
@@ -126,6 +133,61 @@ def test_shadow_of_spurred_boundaries(picks, sites, wrap):
         else:
             assert {mine, theirs} == {StepKind.WEAVE, StepKind.WIND}
     assert signed_area(shadow) == (I if class_of(w.basepoint) == 0 else -I)
+
+
+def _walk(v, picks):
+    """A walk on the hexagon graph from the vertex v, one step per pick."""
+    steps = []
+    for pick in picks:
+        s = step_for("abc"[pick % 3], class_of(v) == 1)
+        steps.append(s)
+        v = v + s.vector
+    return steps
+
+
+def _there_and_back(v, picks):
+    out = _walk(v, picks)
+    return out + [s.inverse for s in reversed(out)]
+
+
+_HEXAGON = [step_for(x[0], x.endswith("'")) for x in "b a' c b' a c'".split()]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), max_size=10),
+    st.integers(0, 2**20),
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**20), st.lists(st.integers(0, 2), min_size=1, max_size=4)
+        ),
+        max_size=6,
+    ),
+    st.integers(0, 2**20),
+)
+def test_despur_on_nested_and_wrapping_spurs(walk, at, turn, excursions, wrap):
+    # A walk there and back with a hexagon loop spliced in, then
+    # back-and-forth excursions, later ones landing inside earlier ones,
+    # and a rotation that can leave one straddling the end of the word.
+    steps = _there_and_back(LatticePoint(0, 0), walk)
+    w = Word(tuple(steps), LatticePoint(0, 0))
+    pos = at % (len(steps) + 1)
+    k = 2 * turn + class_of(w.vertices()[pos])
+    steps[pos:pos] = _HEXAGON[k:] + _HEXAGON[:k]
+    for at, picks in excursions:
+        w = Word(tuple(steps), LatticePoint(0, 0))
+        pos = at % (len(steps) + 1)
+        steps[pos:pos] = _there_and_back(w.vertices()[pos], picks)
+    w = Word(tuple(steps), LatticePoint(0, 0)).rotated(wrap)
+    assert w.is_closed
+    d = despur(w)
+    assert find_spurs(d) == []
+    assert not (d.steps and d.steps[0] is d.steps[-1].inverse)
+    assert d.is_closed and signed_area(d) == signed_area(w)
+    assert despur(d) == d
+    for k in range(len(w.steps)):
+        assert cyclically_equal(despur(w.rotated(k)), d), k
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

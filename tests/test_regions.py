@@ -51,6 +51,8 @@ def test_params_validation():
         BenzelParams(2, 5)
     with pytest.raises(InvalidParams):
         BenzelParams(5, 2)
+    with pytest.raises(InvalidParams, match="parameters must be integers"):
+        BenzelParams(2, True)
     assert BenzelParams(2, 4).cls == 0
     assert BenzelParams(2, 2).cls == 1
     assert BenzelParams(2, 3).cls == -1
@@ -111,6 +113,8 @@ def test_triangle_shape():
     assert triangle(3).cells == benzel(BenzelParams(3, 3)).cells
     with pytest.raises(InvalidParams):
         triangle(0)
+    with pytest.raises(InvalidParams):
+        triangle(True)
 
 
 def test_cell_corners_surround_center():
@@ -177,10 +181,22 @@ def test_closed_form_words_match_tracing():
 
 
 def test_closed_form_word_is_closed_and_counts_cells():
-    for p in (BenzelParams(4, 4), BenzelParams(3, 5), BenzelParams(6, 6)):
+    # Also pins the spur pairs its docstring states, class by class.
+    for p in all_valid_params(30):
         w = boundary_word_closed_form(p)
         assert w.is_closed
-        assert signed_area(w) == len(benzel(p))
+        assert signed_area(w) == len(benzel(p)), (p.a, p.b)
+        n = len(w.steps)
+        spurs = find_spurs(w)
+        removed = n - len(despur(w).steps)
+        if p.cls == 1:
+            assert spurs == [], (p.a, p.b)
+        elif p.cls == -1 or p.s and p.t:
+            assert len(spurs) == 3 and removed == 6, (p.a, p.b)
+            assert (n - 1 in spurs) == (p.cls == -1), (p.a, p.b)
+        else:  # degenerate class 0
+            assert len(spurs) == 3 and n - 1 in spurs, (p.a, p.b)
+            assert removed > 6, (p.a, p.b)
 
 
 HEXAGON = "b a' c b' a c'"  # counterclockwise around the cell at (-2, -2)
