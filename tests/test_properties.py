@@ -175,9 +175,9 @@ def test_despur_on_nested_and_wrapping_spurs(walk, at, turn, excursions, wrap):
     pos = at % (len(steps) + 1)
     k = 2 * turn + class_of(w.vertices()[pos])
     steps[pos:pos] = _HEXAGON[k:] + _HEXAGON[:k]
-    for at, picks in excursions:
+    for where, picks in excursions:
         w = Word(tuple(steps), LatticePoint(0, 0))
-        pos = at % (len(steps) + 1)
+        pos = where % (len(steps) + 1)
         steps[pos:pos] = _there_and_back(w.vertices()[pos], picks)
     w = Word(tuple(steps), LatticePoint(0, 0)).rotated(wrap)
     assert w.is_closed

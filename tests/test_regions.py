@@ -191,7 +191,7 @@ def test_closed_form_word_is_closed_and_counts_cells():
         removed = n - len(despur(w).steps)
         if p.cls == 1:
             assert spurs == [], (p.a, p.b)
-        elif p.cls == -1 or p.s and p.t:
+        elif p.cls == -1 or (p.s and p.t):
             assert len(spurs) == 3 and removed == 6, (p.a, p.b)
             assert (n - 1 in spurs) == (p.cls == -1), (p.a, p.b)
         else:  # degenerate class 0
