@@ -24,7 +24,6 @@ from .hexlattice import (
     Step,
     Word,
     class_of,
-    cross,
     word_from_string,
 )
 
@@ -65,6 +64,8 @@ class Region:
 
     def __post_init__(self) -> None:
         for c in self.cells:
+            if type(c) is not LatticePoint:
+                raise InvalidParams(f"cell {c!r} is not a LatticePoint")
             if (c[0] + c[1]) % 3 != 2:
                 raise InvalidParams(f"cell center {c} has class {class_of(c)}, not -1")
 
@@ -146,33 +147,18 @@ def cell_corners(center: LatticePoint) -> Tuple[LatticePoint, ...]:
 def benzel(p: BenzelParams) -> Region:
     """All cells whose six corners lie inside or on the bounding hexagon.
 
-    Equivalent center test: per hexagon edge, the worst corner offset is
-    folded into a constant, so each candidate center costs one half-plane
-    test per edge instead of six.  Within a row of fixed y each test
-    cross(d, (x, y) - v) + margin >= 0 reads k - d.y * x >= 0, so the row's
-    cells are the class--1 centers of one interval of x.
+    The hexagon is -a <= x <= b, -b <= y <= a and -b <= x - y <= a, and a
+    cell's corners reach exactly one unit past its center in each of x, y
+    and x - y.  So the cells are the class--1 centers with
+    1 - a <= x <= b - 1, 1 - b <= y <= a - 1 and 1 - b <= x - y <= a - 1:
+    in each row of fixed y, those of one interval of x.
     """
-    hexagon = bounding_hexagon(p)
-    edges = []
-    for i in range(6):
-        v, w = hexagon[i], hexagon[(i + 1) % 6]
-        d = w - v
-        margin = min(cross(d, off) for off in _CORNER_OFFSETS)
-        edges.append((d, v, margin))
+    a, b = p.a, p.b
     cells = set()
-    # The hexagon spans -a <= x <= b and -b <= y <= a.
-    for y in range(-p.b, p.a + 1):
-        lo, hi = -p.a, p.b
-        for d, v, margin in edges:
-            k = d.x * (y - v.y) + d.y * v.x + margin
-            if d.y > 0:
-                hi = min(hi, k // d.y)
-            elif d.y < 0:
-                lo = max(lo, -(k // -d.y))
-            elif k < 0:
-                hi = lo - 1
+    for y in range(1 - b, a):
+        lo = max(1 - a, y + 1 - b)
         # The first x >= lo with x + y == -1 (mod 3).
-        for x in range(lo + (-1 - lo - y) % 3, hi + 1, 3):
+        for x in range(lo + (-1 - lo - y) % 3, min(b - 1, y + a - 1) + 1, 3):
             cells.add(LatticePoint(x, y))
     return Region(frozenset(cells))
 
@@ -306,20 +292,22 @@ def find_spurs(w: Word) -> List[int]:
     used = set()
     for i in hits:
         if i in used or (i + 1) % n in used:
-            raise NonIsolatedSpur(f"overlapping spurs near step {i}")
+            shared = i if i in used else (i + 1) % n
+            raise NonIsolatedSpur(f"overlapping spurs near step {shared}")
         used.add(i)
         used.add((i + 1) % n)
     return hits
 
 
 def despur(w: Word) -> Word:
-    """Remove all spur pairs from a closed word.
+    """Remove all spur pairs from a word.
 
     One stack pass drops each step that retraces the last kept step, which
     also catches pairs exposed by earlier removals (degenerate boundary
-    words do this); inverse pairs across the ends are then trimmed, the
-    basepoint moving past each.  Pair removal is confluent, so the result
-    is canonical.
+    words do this).  If the word is closed, inverse pairs across the ends
+    are then trimmed, the basepoint moving past each; an open word keeps
+    both its endpoints.  Pair removal is confluent, so the result is
+    canonical.
     """
     steps: List[Step] = []
     for s in w.steps:
@@ -329,10 +317,11 @@ def despur(w: Word) -> Word:
             steps.append(s)
     base = w.basepoint
     i, j = 0, len(steps) - 1
-    while i < j and steps[i] is steps[j].inverse:
-        base = base + steps[i].vector
-        i += 1
-        j -= 1
+    if w.is_closed:
+        while i < j and steps[i] is steps[j].inverse:
+            base = base + steps[i].vector
+            i += 1
+            j -= 1
     return Word(tuple(steps[i : j + 1]), base)
 
 

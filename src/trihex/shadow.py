@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import FrozenSet, List, Optional
 
-from .errors import InvalidParams, NonIsolatedSpur, ShadowNotClosed
+from .errors import InvalidParams, NonIsolatedSpur, NotClosed, ShadowNotClosed
 from .hexlattice import (
     ORIGIN,
     LatticePoint,
@@ -78,7 +78,10 @@ def _spur_steps(w: Word) -> FrozenSet[int]:
 
 def classify_steps(w: Word) -> List[StepKind]:
     """One StepKind per step, cyclically; spur steps get SPUR_SITE and
-    every other step is classified by its nearest non-spur neighbours."""
+    every other step is classified by its nearest non-spur neighbours.
+    Raises NotClosed for an open word."""
+    if not w.is_closed:
+        raise NotClosed("can only classify the steps of a closed word")
     spur = _spur_steps(w)
     free = [i for i in range(len(w.steps)) if i not in spur]
     kinds = [StepKind.SPUR_SITE] * len(w.steps)

@@ -13,7 +13,7 @@ of the latest region and tileset asked about is kept, and here the cap
 bounds every state held, not just the live frontier.  A placement whose
 kind is outside the tileset is answered by counting the region less its
 cells.  Enumeration is a separate depth-first search over the same
-placement table, built in its own diagonal order (x - y, then x), which
+move table, built in its own diagonal order (x - y, then x), which
 fixes its documented output order; it keeps its own stack of frames, so
 neither engine recurses and region size never meets the recursion limit.
 It records each frontier state found to have no completion and never
@@ -169,27 +169,23 @@ def _counting_order(c: LatticePoint) -> Tuple[int, int]:
     return (2 * c.x - c.y, c.y)
 
 
-class _PlacementTable:
-    """Shared precomputation for the two engines: cells in a sweep order,
-    and placements bucketed by their first (lowest-index) covered cell,
-    each with its cells relative to that cell as mask bits."""
-
-    def __init__(
-        self,
-        r: Region,
-        tileset: Sequence[TileKind],
-        key: Callable[[LatticePoint], Tuple[int, int]],
-    ):
-        self.order = sorted(r.cells, key=key)
-        self.index = index = {c: i for i, c in enumerate(self.order)}
-        self.n = len(self.order)
-        self.by_first: List[List[Tuple[Placement, int]]] = [[] for _ in range(self.n)]
-        for p in placements(r, tileset):
-            x, y = p.anchor
-            _, (x1, y1), (x2, y2) = p.kind.offsets
-            i0, i1, i2 = index[p.anchor], index[x + x1, y + y1], index[x + x2, y + y2]
-            lo = min(i0, i1, i2)
-            self.by_first[lo].append((p, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
+def _move_table(
+    r: Region,
+    tileset: Sequence[TileKind],
+    key: Callable[[LatticePoint], Tuple[int, int]],
+) -> List[List[Tuple[Placement, int]]]:
+    """The move table both engines share.  With the cells sorted by key,
+    entry i lists the placements whose first (lowest-index) covered cell is
+    cell i, each with its cells relative to cell i as mask bits."""
+    index = {c: i for i, c in enumerate(sorted(r.cells, key=key))}
+    table: List[List[Tuple[Placement, int]]] = [[] for _ in index]
+    for p in placements(r, tileset):
+        x, y = p.anchor
+        _, (x1, y1), (x2, y2) = p.kind.offsets
+        i0, i1, i2 = index[p.anchor], index[x + x1, y + y1], index[x + x2, y + y2]
+        lo = min(i0, i1, i2)
+        table[lo].append((p, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
+    return table
 
 
 # Resident bytes per live counting state: a dict slot plus its int mask and
@@ -220,17 +216,19 @@ def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
     return int(limit)
 
 
-def _over_cap(i: int, n: int, states: int, limit: int, kept: bool) -> ResourceLimit:
-    what, held = ("the frequency table", "held") if kept else ("counting", "live")
-    return ResourceLimit(
-        f"{what} stopped at cell {i} of {n}: {states} {held} states, "
-        f"about {states * _BYTES_PER_STATE / 2**20:.0f} MB estimated, "
-        f"over the cap of {limit / 2**20:g} MB"
-    )
+def _check_cap(i: int, n: int, states: int, limit: int, kept: bool) -> None:
+    """Raise ResourceLimit, naming cell i of n, if states are over the cap."""
+    if states * _BYTES_PER_STATE > limit:
+        what, held = ("the frequency table", "held") if kept else ("counting", "live")
+        raise ResourceLimit(
+            f"{what} stopped at cell {i} of {n}: {states} {held} states, "
+            f"about {states * _BYTES_PER_STATE / 2**20:.0f} MB estimated, "
+            f"over the cap of {limit / 2**20:g} MB"
+        )
 
 
 def _sweep(
-    table: _PlacementTable, limit: Optional[int], keep: bool
+    table: List[List[Tuple[Placement, int]]], limit: Optional[int], keep: bool
 ) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]], int]:
     """The forward frontier sweep behind count_tilings and the frequency
     table.  Returns the buckets (bucket i maps the window mask of each
@@ -238,8 +236,8 @@ def _sweep(
     arose), each cell's move masks and the window reach.  Without keep a
     bucket is dropped once popped, so only bucket n is left; with keep
     every bucket stays, and the cap is charged for all of them."""
-    n = table.n
-    moves = [[bits for _p, bits in ps] for ps in table.by_first]
+    n = len(table)
+    moves = [[bits for _p, bits in ps] for ps in table]
     reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
@@ -269,8 +267,7 @@ def _sweep(
             live = held + sum(
                 len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
             )
-            if live * _BYTES_PER_STATE > limit:
-                raise _over_cap(i, n, live, limit, keep)
+            _check_cap(i, n, live, limit, keep)
     return buckets, moves, reach
 
 
@@ -294,10 +291,8 @@ def count_tilings(
     the estimated bytes of live states.  Past the cap the sweep raises
     ResourceLimit, naming the cell it reached; it never returns a bogus 0.
     """
-    table = _PlacementTable(r, tileset, _counting_order)
-    n = table.n
-    if n == 0:
-        return 1
+    table = _move_table(r, tileset, _counting_order)
+    n = len(table)
     if n % 3:
         return 0
     last = _sweep(table, _memo_limit_bytes(memo_limit_mb), keep=False)[0][n]
@@ -310,9 +305,9 @@ def _frequency_table(
     """The frequency of every placement in placements(r, tileset), keyed by
     _placement_key, from the kept forward sweep and one backward pass over
     the same states."""
-    table = _PlacementTable(r, tileset, _counting_order)
-    n = table.n
-    freq = {_placement_key(p): 0 for ps in table.by_first for p, _bits in ps}
+    table = _move_table(r, tileset, _counting_order)
+    n = len(table)
+    freq = {_placement_key(p): 0 for ps in table for p, _bits in ps}
     if n % 3:
         return freq
     limit = _memo_limit_bytes(memo_limit_mb)
@@ -351,14 +346,13 @@ def _frequency_table(
             live = held + sum(
                 len(b) for b in backward[i : i + reach + 2] if b is not None
             )
-            if live * _BYTES_PER_STATE > limit:
-                raise _over_cap(i, n, live, limit, kept=True)
+            _check_cap(i, n, live, limit, kept=True)
         held -= len(layer)
         # Moves reach at most reach + 1 cells ahead, so from here on no
         # move lands as far as cell i + reach + 1.
         if i + reach + 1 <= n:
             backward[i + reach + 1] = None
-        for (p, _bits), total in zip(table.by_first[i], sums):
+        for (p, _bits), total in zip(table[i], sums):
             freq[_placement_key(p)] = total
     return freq
 
@@ -388,8 +382,8 @@ def enumerate_tilings(
     """
     if limit is not None and limit <= 0:
         return
-    table = _PlacementTable(r, tileset, _enumeration_order)
-    n = table.n
+    by_first = _move_table(r, tileset, _enumeration_order)
+    n = len(by_first)
     if n == 0:
         yield Tiling(r, ())
         return
@@ -397,7 +391,6 @@ def enumerate_tilings(
         return
     cap = _memo_limit_bytes(None)
     room = None if cap is None else cap // _BYTES_PER_STATE
-    by_first = table.by_first
     shift = n.bit_length()  # the key mask << shift | i is injective for i <= n
     dead: set = set()
     # A frame is (cell, mask, untried moves, the placement that led to it,

@@ -6,6 +6,7 @@ from trihex.errors import (
     EmptyRegion,
     FormatError,
     InvalidParams,
+    NonIsolatedSpur,
     NotSimplyConnected,
 )
 from trihex.hexlattice import (
@@ -61,6 +62,8 @@ def test_params_validation():
 def test_region_rejects_non_centers():
     with pytest.raises(InvalidParams):
         Region(frozenset({LatticePoint(0, 0)}))
+    with pytest.raises(InvalidParams, match="is not a LatticePoint"):
+        Region(frozenset({(-2, -2), (-1, 0), (0, -1)}))
 
 
 def test_small_benzels():
@@ -72,7 +75,8 @@ def test_small_benzels():
 def test_benzels_match_the_corner_definition():
     # Brute force over the hexagon's bounding box: the class -1 centers
     # whose six corners all lie inside or on the closed bounding hexagon.
-    for p in all_valid_params(14):
+    large = [BenzelParams(22, 26), BenzelParams(40, 21), BenzelParams(51, 57)]
+    for p in [*all_valid_params(14), *large]:
         hexagon = bounding_hexagon(p)
         edges = [(v, w - v) for v, w in zip(hexagon, hexagon[1:] + hexagon[:1])]
         xs = [v.x for v in hexagon]
@@ -208,6 +212,15 @@ def test_find_spurs_and_despur():
     d = despur(w)
     assert d.tokens() == HEXAGON.split()
     assert find_spurs(d) == []
+    # Overlapping pairs name the step they share, also across the wrap.
+    with pytest.raises(NonIsolatedSpur, match="near step 2$"):
+        find_spurs(word_from_string("b a a' a b'"))
+    with pytest.raises(NonIsolatedSpur, match="near step 0$"):
+        find_spurs(word_from_string("a' a b b' a"))
+    # An open word loses only its interior pairs and keeps its endpoints.
+    w = word_from_string("a b a'")
+    assert despur(w) == w
+    assert despur(word_from_string("a a' b")) == word_from_string("b")
 
 
 def test_despur_cascades():

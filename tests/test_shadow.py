@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trihex.errors import InvalidParams, ShadowNotClosed
+from trihex.errors import InvalidParams, NotClosed, ShadowNotClosed
 from trihex.hexlattice import (
     LatticePoint,
     Word,
@@ -105,6 +105,9 @@ def test_shadow_swaps_weave_and_wind():
 def test_shadow_requires_closed_word():
     with pytest.raises(ShadowNotClosed):
         shadow_word(word_from_string("a b"))
+    for text in ("a b' a", "a b' a a'"):
+        with pytest.raises(NotClosed):
+            classify_steps(word_from_string(text))
 
 
 def test_shadow_requires_matching_basepoint_class():
