@@ -166,18 +166,14 @@ def word_from_string(text: str, basepoint: LatticePoint = ORIGIN) -> Word:
 def signed_area(w: Word) -> int:
     """Signed area enclosed by a closed word, in units of one hexagonal cell.
 
-    Computed as (1/6) * sum_{i<j} v_i x v_j via the running-sum identity
-    sum_{i<j} v_i x v_j = sum_j w_{j-1} x v_j.  Equals the sum over all
-    cells of the path's winding number.  The empty word has area 0.
+    Computed as (1/6) * sum_j p_j x p_{j+1} over consecutive vertices (the
+    shoelace sum, the same from any basepoint of a closed word).  Equals the
+    sum over all cells of the path's winding number; the empty word has area 0.
     """
-    acc = 0
-    run = ORIGIN
-    for s in w.steps:
-        v = s.vector
-        acc += cross(run, v)
-        run = run + v
-    if run != ORIGIN:
-        raise NotClosed(f"step vectors sum to {run}, not zero")
+    vs = w.vertices()
+    if vs[-1] != vs[0]:
+        raise NotClosed(f"step vectors sum to {vs[-1] - vs[0]}, not zero")
+    acc = sum(cross(p, q) for p, q in zip(vs, vs[1:]))
     if acc % 6:
         raise NonIntegralArea(f"double sum {acc} is not divisible by 6")
     return acc // 6
@@ -193,22 +189,19 @@ def winding_numbers(
     crossing happens exactly at a path vertex, and per-level sorted
     crossing lists answer all queries by suffix sums.
     """
-    if not w.is_closed:
+    vs = w.vertices()
+    if vs[-1] != vs[0]:
         raise NotClosed("winding number requires a closed word")
+    ps = list(map(_doubled, vs))
     for cell in cells:
         if class_of(cell) != -1:
             raise NotACellCenter(f"{cell} has class {class_of(cell)}, not -1")
     crossings: "dict[int, List[Tuple[int, int]]]" = {}
-    px, py = _doubled(w.basepoint)
-    run = w.basepoint
-    for s in w.steps:
-        run = run + s.vector
-        qx, qy = _doubled(run)
+    for (px, py), (qx, qy) in zip(ps, ps[1:]):
         if qy == py + 1:
             crossings.setdefault(py, []).append((px, 1))
         elif qy == py - 1:
             crossings.setdefault(qy, []).append((qx, -1))
-        px, py = qx, qy
     levels: "dict[int, Tuple[List[int], List[int]]]" = {}
     for level, hits in crossings.items():
         hits.sort()
@@ -244,20 +237,17 @@ def winding_number(w: Word, cell: LatticePoint) -> int:
     """
     if class_of(cell) != -1:
         raise NotACellCenter(f"{cell} has class {class_of(cell)}, not -1")
-    if not w.is_closed:
+    vs = w.vertices()
+    if vs[-1] != vs[0]:
         raise NotClosed("winding number requires a closed word")
+    ps = list(map(_doubled, vs))
     cx, cy = _doubled(cell)
     wn = 0
-    px, py = _doubled(w.basepoint)
-    run = w.basepoint
-    for s in w.steps:
-        run = run + s.vector
-        qx, qy = _doubled(run)
+    for (px, py), (qx, qy) in zip(ps, ps[1:]):
         if py <= cy:
             if qy > cy and (qx - px) * (cy - py) - (cx - px) * (qy - py) > 0:
                 wn += 1
         else:
             if qy <= cy and (qx - px) * (cy - py) - (cx - px) * (qy - py) < 0:
                 wn -= 1
-        px, py = qx, qy
     return wn

@@ -132,16 +132,16 @@ def shadow_word(
     give three shadows of one area.  The result winds where w weaves and
     weaves where w winds.  An edge carries the same label seen from
     either end, so each spur pair of w becomes a spur pair along one edge
-    at the same positions.  Spurs
-    must be isolated (NonIsolatedSpur otherwise); a word made only of spur
-    pairs encloses nothing and gives the empty word at the basepoint.
-    Closure is asserted, not assumed; failure means w was not a valid
-    hexagon-graph boundary word.
+    at the same positions.  Spurs must be isolated (NonIsolatedSpur
+    otherwise); a word made only of spur pairs encloses nothing and gives
+    the empty word at the basepoint.  An open word raises NotClosed.  The
+    shadow's closure is asserted, not assumed; failure (ShadowNotClosed)
+    means w was not a valid hexagon-graph boundary word.
     """
     if seed not in ALL_SEEDS:
         raise InvalidParams(f"seed must be one letter from abc, got {seed!r}")
     if not w.is_closed:
-        raise ShadowNotClosed("can only shadow a closed word")
+        raise NotClosed("can only shadow a closed word")
     if class_of(basepoint) != class_of(w.basepoint):
         raise InvalidParams(
             f"shadow basepoint class {class_of(basepoint)} differs from "

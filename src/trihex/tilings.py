@@ -229,13 +229,13 @@ def _check_cap(i: int, n: int, states: int, limit: int, kept: bool) -> None:
 
 def _sweep(
     table: List[List[Tuple[Placement, int]]], limit: Optional[int], keep: bool
-) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]], int]:
+) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]]]:
     """The forward frontier sweep behind count_tilings and the frequency
     table.  Returns the buckets (bucket i maps the window mask of each
     state at cell i to its count of partial tilings, None where no state
-    arose), each cell's move masks and the window reach.  Without keep a
-    bucket is dropped once popped, so only bucket n is left; with keep
-    every bucket stays, and the cap is charged for all of them."""
+    arose) and each cell's move masks.  Without keep a bucket is dropped
+    once popped, so only bucket n is left; with keep every bucket stays,
+    and the cap is charged for all of them."""
     n = len(table)
     moves = [[bits for _p, bits in ps] for ps in table]
     reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
@@ -268,7 +268,7 @@ def _sweep(
                 len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
             )
             _check_cap(i, n, live, limit, keep)
-    return buckets, moves, reach
+    return buckets, moves
 
 
 def count_tilings(
@@ -304,27 +304,26 @@ def _frequency_table(
 ) -> Dict[Tuple[int, LatticePoint], int]:
     """The frequency of every placement in placements(r, tileset), keyed by
     _placement_key, from the kept forward sweep and one backward pass over
-    the same states."""
+    the same buckets."""
     table = _move_table(r, tileset, _counting_order)
     n = len(table)
     freq = {_placement_key(p): 0 for ps in table for p, _bits in ps}
     if n % 3:
         return freq
     limit = _memo_limit_bytes(memo_limit_mb)
-    forward, moves, reach = _sweep(table, limit, keep=True)
-    if forward[n] is None:
+    buckets, moves = _sweep(table, limit, keep=True)
+    if buckets[n] is None:
         return freq
-    held = sum(len(b) for b in forward if b is not None)  # forward states left
-    # backward[i] maps each state at cell i that has a completion to the
-    # number of its completions; a move from a state with F partial tilings
-    # into a child with G completions lies in F * G tilings.
-    backward: List[Optional[Dict[int, int]]] = [None] * (n + 1)
-    backward[n] = {0: 1}
+    # Walking back, bucket i's partial-tiling counts become its states'
+    # completion counts (states with none dropped), read off its children
+    # in buckets already replaced.  A move from a state with F partial
+    # tilings into a child with G completions lies in F * G tilings.
+    buckets[n] = {0: 1}
+    held = sum(len(b) for b in buckets if b is not None)  # states the list holds
     for i in range(n - 1, -1, -1):
-        layer = forward[i]
+        layer = buckets[i]
         if layer is None:
             continue
-        forward[i] = None
         bits_i = moves[i]
         sums = [0] * len(bits_i)
         out = {}
@@ -335,23 +334,16 @@ def _frequency_table(
                     continue
                 m = mask | bits
                 j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
-                c = backward[i + j].get(m >> j)
+                c = buckets[i + j].get(m >> j)
                 if c:
                     g += c
                     sums[k] += f * c
             if g:
                 out[mask] = g
-        backward[i] = out
         if limit is not None:
-            live = held + sum(
-                len(b) for b in backward[i : i + reach + 2] if b is not None
-            )
-            _check_cap(i, n, live, limit, kept=True)
-        held -= len(layer)
-        # Moves reach at most reach + 1 cells ahead, so from here on no
-        # move lands as far as cell i + reach + 1.
-        if i + reach + 1 <= n:
-            backward[i + reach + 1] = None
+            _check_cap(i, n, held + len(out), limit, kept=True)
+        held += len(out) - len(layer)
+        buckets[i] = out
         for (p, _bits), total in zip(table[i], sums):
             freq[_placement_key(p)] = total
     return freq
@@ -476,13 +468,11 @@ def placement_frequency(
     InvalidPlacement.
     """
     global _last_frequencies
-    ax, ay = p.anchor
-    for ox, oy in p.kind.offsets:
-        if (ax + ox, ay + oy) not in r.cells:
-            raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
+    cells = frozenset(cells_of(p))
+    if not cells <= r.cells:
+        raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
     if p.kind not in tileset:
-        rest = Region(r.cells - frozenset(cells_of(p)))
-        return count_tilings(rest, tileset, memo_limit_mb)
+        return count_tilings(Region(r.cells - cells), tileset, memo_limit_mb)
     key = (r, frozenset(tileset))
     last = _last_frequencies
     if last is None or last[0] != key:
@@ -521,9 +511,10 @@ def tiling_from_json(obj: object) -> Tiling:
     for entry in tiles:
         if not isinstance(entry, dict) or set(entry) != {"kind", "anchor"}:
             raise FormatError(f"bad tile entry {entry!r}")
-        kind = KIND_BY_NAME.get(entry["kind"])
+        name = entry["kind"]
+        kind = KIND_BY_NAME.get(name) if isinstance(name, str) else None
         if kind is None:
-            raise FormatError(f"unknown tile kind {entry['kind']!r}")
+            raise FormatError(f"unknown tile kind {name!r}")
         anchor = point_from_json(entry["anchor"], "bad anchor")
         try:
             placs.append(Placement(kind, anchor))

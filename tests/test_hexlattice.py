@@ -115,6 +115,10 @@ def test_signed_area_unit_hexagon():
     assert signed_area(w) == 1
     rev = Word(tuple(s.inverse for s in reversed(w.steps)), w.basepoint)
     assert signed_area(rev) == -1
+    # The same loop far from the origin, from the class-0 point (299, -602).
+    far = Word(w.steps, LatticePoint(299, -602))
+    assert signed_area(far) == 1
+    assert signed_area(Word(rev.steps, far.basepoint)) == -1
 
 
 def test_signed_area_requires_closure():
@@ -176,6 +180,19 @@ def test_batch_winding_matches_scalar():
         batch = winding_numbers(w, cells)
         for cell in cells:
             assert batch[cell] == winding_number(w, cell)
+    # The unit hexagon and the cells around it, moved far from the origin.
+    w = word_from_string("b a' c b' a c'", LatticePoint(-1, -2))
+    shift = LatticePoint(300, -600)
+    far = Word(w.steps, w.basepoint + shift)
+    assert class_of(far.basepoint) == 0
+    cells = [LatticePoint(x, y) for x in range(-6, 3) for y in range(-6, 3)
+             if class_of(LatticePoint(x, y)) == -1]
+    moved = [c + shift for c in cells]
+    near = [winding_number(w, c) for c in cells]
+    assert near == [int(c == LatticePoint(-2, -2)) for c in cells]
+    assert [winding_number(far, c) for c in moved] == near
+    batch = winding_numbers(far, moved)
+    assert [batch[c] for c in moved] == near
 
 
 def test_word_from_tokens_rejects_nothing_valid():

@@ -103,7 +103,7 @@ def test_shadow_swaps_weave_and_wind():
 
 
 def test_shadow_requires_closed_word():
-    with pytest.raises(ShadowNotClosed):
+    with pytest.raises(NotClosed, match="^can only shadow a closed word$"):
         shadow_word(word_from_string("a b"))
     for text in ("a b' a", "a b' a a'"):
         with pytest.raises(NotClosed):

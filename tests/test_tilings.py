@@ -45,6 +45,10 @@ from trihex.tilings import (
     tiling_to_json,
     validate,
     validation_error,
+    _BYTES_PER_STATE,
+    _counting_order,
+    _move_table,
+    _sweep,
 )
 
 ANCHOR = LatticePoint(-2, -2)
@@ -410,6 +414,11 @@ def test_tiling_json_rejects_bad_input():
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB"}]})
     with pytest.raises(FormatError):
         tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": "boneAB", "anchor": [0, 0]}]})
+    # Unhashable kinds are unknown kinds, not a TypeError.
+    for kind in (["boneAB"], {"name": "boneAB"}):
+        with pytest.raises(FormatError) as e:
+            tiling_from_json({"region": {"cells": []}, "tiles": [{"kind": kind, "anchor": [-2, -2]}]})
+        assert str(e.value) == f"unknown tile kind {kind!r}"
 
 
 def test_tiling_region_must_be_an_object():
@@ -524,6 +533,15 @@ def test_frequency_cap_raises_resource_limit():
     for _ in range(2):  # a failed call leaves nothing behind to answer the next
         with pytest.raises(ResourceLimit, match=r"cell \d+ of \d+"):
             placement_frequency(r, BONES, p, memo_limit_mb=0.01)
+    # A cap of exactly the kept forward sweep's states lets the sweep pass;
+    # the backward pass, holding the new bucket beside the one it replaces,
+    # then goes over it near the end.
+    table = _move_table(r, BONES, _counting_order)
+    states = sum(len(b) for b in _sweep(table, None, keep=True)[0] if b is not None)
+    _sweep(table, states * _BYTES_PER_STATE, keep=True)
+    with pytest.raises(ResourceLimit, match=r"^the frequency table stopped at cell 154 of 162: "):
+        placement_frequency(r, BONES, p, memo_limit_mb=states * _BYTES_PER_STATE / 2**20)
+    assert placement_frequency(r, BONES, p) == _reference_frequency(r, BONES, p)
 
 
 def _assert_frequencies_match_recount(r, tileset):
