@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import NonIntegralArea, NotACellCenter, NotClosed
+from .errors import FormatError, NonIntegralArea, NotACellCenter, NotClosed
 
 
 class LatticePoint(NamedTuple):
@@ -154,8 +154,15 @@ class Word:
 
 
 def word_from_tokens(tokens: Sequence[str], basepoint: LatticePoint = ORIGIN) -> Word:
-    """Build a word from tokens like 'a', "b'", 'c'."""
-    return Word(tuple(_STEP_BY_TOKEN[t] for t in tokens), basepoint)
+    """Build a word from tokens like 'a', "b'", 'c'; FormatError on any
+    other token."""
+    steps = []
+    for t in tokens:
+        step = _STEP_BY_TOKEN.get(t) if isinstance(t, str) else None
+        if step is None:
+            raise FormatError(f"bad step token {t!r}")
+        steps.append(step)
+    return Word(tuple(steps), basepoint)
 
 
 def word_from_string(text: str, basepoint: LatticePoint = ORIGIN) -> Word:

@@ -25,6 +25,7 @@ from .hexlattice import (
     Word,
     class_of,
     word_from_string,
+    word_from_tokens,
 )
 
 # Center offsets between edge-adjacent cells.
@@ -400,7 +401,4 @@ def word_from_text(text: str) -> Word:
         except ValueError:
             raise FormatError(f"bad base token {tokens[0]!r}") from None
         tokens = tokens[1:]
-    try:
-        return word_from_string(" ".join(tokens), base)
-    except KeyError as e:
-        raise FormatError(f"bad step token {e.args[0]!r}") from None
+    return word_from_tokens(tokens, base)

@@ -19,13 +19,19 @@ neither engine recurses and region size never meets the recursion limit.
 It records each frontier state found to have no completion and never
 enters one again; that dead-state set obeys the same memory cap, and
 once full it stops growing while the search goes on unchanged.
+
+A tiling is frozen, so once valid it stays valid, and each Tiling object
+remembers whether it is known to be: the tilings enumeration yields are
+marked when built, and any other tiling is marked by the first check it
+passes.  The statistics skip the check on a marked tiling; validate and
+validation_error always recompute.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -106,11 +112,20 @@ class Tiling:
 
     region: Region
     placements: Tuple[Placement, ...]
+    # Known to partition the region; set only by _mark_valid, and left out
+    # of equality, so it marks this object and never a tiling's value.
+    _valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "placements", tuple(sorted(self.placements, key=_placement_key))
         )
+
+
+def _mark_valid(t: Tiling) -> Tiling:
+    """Record that t partitions its region, and return it."""
+    object.__setattr__(t, "_valid", True)
+    return t
 
 
 def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
@@ -129,8 +144,12 @@ def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
 
 
 def validate(t: Tiling) -> bool:
-    """True iff the placements partition the region's cells exactly."""
-    return validation_error(t) is None
+    """True iff the placements partition the region's cells exactly.
+    Always checks, even a tiling already known to be valid."""
+    if validation_error(t) is not None:
+        return False
+    _mark_valid(t)
+    return True
 
 
 def validation_error(t: Tiling) -> Optional[str]:
@@ -371,13 +390,16 @@ def enumerate_tilings(
     dead set obeys the counting cap (TRIBONE_MEMO_LIMIT_MB, estimated at
     the same bytes per state): once full it stops growing and the search
     goes on without recording more, never raising for lack of room.
+
+    Every tiling yielded is valid by construction and marked so: the
+    statistics trust it without a second check.
     """
     if limit is not None and limit <= 0:
         return
     by_first = _move_table(r, tileset, _enumeration_order)
     n = len(by_first)
     if n == 0:
-        yield Tiling(r, ())
+        yield _mark_valid(Tiling(r, ()))
         return
     if n % 3:
         return
@@ -406,7 +428,7 @@ def enumerate_tilings(
             if m << shift | (i + j) not in dead:
                 frames.append((i + j, m, iter(by_first[i + j]), p, emitted))
             continue
-        yield Tiling(r, tuple(f[3] for f in frames[1:]) + (p,))
+        yield _mark_valid(Tiling(r, tuple(f[3] for f in frames[1:]) + (p,)))
         emitted += 1
         if limit is not None and emitted >= limit:
             return
@@ -420,7 +442,9 @@ def stone_balance(t: Tiling) -> int:
 
 
 def orientation_histogram(t: Tiling) -> Tuple[int, int, int, int, int]:
-    """Per-kind placement counts (nAB, nBC, nCA, nStoneR, nStoneL)."""
+    """Per-kind placement counts (nAB, nBC, nCA, nStoneR, nStoneL).  Raises
+    InvalidTiling unless t partitions its region; a tiling from
+    enumerate_tilings, or one that passed a check before, is trusted."""
     _require_valid(t)
     counts = [0] * len(TileKind)
     for p in t.placements:
@@ -429,9 +453,14 @@ def orientation_histogram(t: Tiling) -> Tuple[int, int, int, int, int]:
 
 
 def _require_valid(t: Tiling) -> None:
+    """Raise InvalidTiling unless t partitions its region; a tiling already
+    known to be valid is not checked again."""
+    if t._valid:
+        return
     err = validation_error(t)
     if err is not None:
         raise InvalidTiling(err)
+    _mark_valid(t)
 
 
 # The frequency table of the (region, tileset) asked about last, as one

@@ -6,8 +6,15 @@ import json
 import pytest
 
 from trihex.cli import main
-from trihex.regions import BenzelParams, benzel, region_to_json
-from trihex.tilings import tiling_from_json, validate
+from trihex.regions import BenzelParams, benzel, region_to_json, trace_boundary
+from trihex.render import render_svg
+from trihex.tilings import (
+    STONES_AND_BONES,
+    enumerate_tilings,
+    tiling_from_json,
+    tiling_to_json,
+    validate,
+)
 
 
 def run(capsys, *argv):
@@ -187,6 +194,22 @@ def test_render_region(tmp_path, capsys):
     assert svg.startswith("<svg")
 
 
+def test_render_tiling_file_with_boundary(tmp_path, capsys):
+    t = list(enumerate_tilings(benzel(BenzelParams(4, 5)), STONES_AND_BONES))[-1]
+    src, out_file = tmp_path / "t.json", tmp_path / "t.svg"
+    src.write_text(json.dumps(tiling_to_json(t)))
+    code, out, err = run(
+        capsys, "render", "--tiling", str(src), "--boundary", "-o", str(out_file)
+    )
+    assert (code, out, err) == (0, "", "")
+    parsed = tiling_from_json(json.loads(src.read_text()))
+    assert parsed == t
+    expected = render_svg(parsed.region, parsed, trace_boundary(parsed.region))
+    assert out_file.read_text() == expected
+    assert expected.count('class="tile"') == len(t.placements)
+    assert expected.count('class="boundary"') == 1
+
+
 def test_render_is_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
     for f in (f1, f2):
@@ -333,6 +356,8 @@ def test_render_stdout_is_unchanged(capsys, argv, digest):
          "--show-hexagon needs --benzel"),
         (["scan", "--max", "3", "--search", "--search-cap", "-1"],
          "--search-cap must be 0 or more, got -1"),
+        (["tile", "freq", "--benzel", "5,7", "--tiles", "bones",
+          "--placement", "boneXY,0,0"], "unknown tile kind 'boneXY'"),
     ],
 )
 def test_input_error_messages(capsys, argv, message):
@@ -401,8 +426,25 @@ _FREQ = ["tile", "freq", "--tiles", "bones", "--benzel", "5,7", "--placement"]
          "anchor (0, 0) has class 0, not -1"),
         (["shadow", "--word"], "base=-2,-2 a b c a b c",
          "path reached non-vertex point (-2, -2)"),
+        # The shape of each input file, and a word's step tokens.
+        (["render", "--tiling"], '{"region": {"cells": []}, "tiles": [], "z": 1}',
+         "unknown tiling keys ['z']"),
+        (["render", "--tiling"], '{"tiles": []}', "tiling needs 'region' and 'tiles'"),
+        (["render", "--tiling"], '{"region": {"cells": []}}',
+         "tiling needs 'region' and 'tiles'"),
+        (["render", "--tiling"], '{"region": {"cells": []}, "tiles": {}}',
+         "'tiles' must be a list"),
+        (["tile", "count", "--tiles", "bones", "--region"], "{}",
+         "region file lacks a 'cells' key"),
+        (["tile", "count", "--tiles", "bones", "--region"], '{"cells": {}}',
+         "'cells' must be a list"),
+        (["shadow", "--word"], "base=7,2 a x", "bad step token 'x'"),
     ],
-    ids=["anchor", "outside", "region-cell", "tiling-anchor", "shadow-basepoint"],
+    ids=[
+        "anchor", "outside", "region-cell", "tiling-anchor", "shadow-basepoint",
+        "tiling-keys", "tiling-no-region", "tiling-no-tiles", "tiling-tiles-dict",
+        "region-no-cells", "region-cells-dict", "word-token",
+    ],
 )
 def test_points_print_as_pairs(capsys, tmp_path, argv, text, message):
     if text is not None:

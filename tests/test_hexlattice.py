@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trihex.errors import NonIntegralArea, NotACellCenter, NotClosed
+from trihex.errors import FormatError, NonIntegralArea, NotACellCenter, NotClosed
 from trihex.hexlattice import (
     ORIGIN,
     LatticePoint,
@@ -198,3 +198,13 @@ def test_batch_winding_matches_scalar():
 def test_word_from_tokens_rejects_nothing_valid():
     w = word_from_tokens(["a", "c'", "b"])
     assert [s.value for s in w.steps] == ["a", "c'", "b"]
+
+
+def test_bad_step_token_is_a_format_error():
+    for text, token in (("a x", "x"), ("a b'' c", "b''"), ("A", "A")):
+        with pytest.raises(FormatError) as e:
+            word_from_string(text)
+        assert str(e.value) == f"bad step token {token!r}"
+    with pytest.raises(FormatError) as e:
+        word_from_tokens(["a", ["b"]])
+    assert str(e.value) == "bad step token ['b']"

@@ -47,6 +47,7 @@ from trihex.tilings import (
     validation_error,
     _BYTES_PER_STATE,
     _counting_order,
+    _mark_valid,
     _move_table,
     _sweep,
 )
@@ -376,6 +377,77 @@ def test_stone_balance_and_histogram():
         stone_balance(Tiling(r, ()))
     with pytest.raises(InvalidTiling):
         orientation_histogram(Tiling(r, ()))
+
+
+def test_enumerated_tilings_recheck_valid():
+    # The statistics trust what enumeration yields; the full check must
+    # agree with that trust on every tiling.
+    checked = 0
+    for a, b in ((3, 3), (4, 5), (5, 7)):
+        r = benzel(BenzelParams(a, b))
+        invariant = cl_invariant_path(r).I
+        for tileset in (BONES, STONES_AND_BONES):
+            ts = list(enumerate_tilings(r, tileset))
+            assert len(ts) == count_tilings(r, tileset), (a, b, tileset)
+            checked += len(ts)
+            for t in ts:
+                assert t._valid
+                assert validation_error(t) is None, (a, b, tileset)
+                assert stone_balance(t) == invariant
+    assert checked == 3 + 18 + 2 + 142
+
+
+def test_invalid_tiling_is_checked_after_a_valid_one():
+    r = benzel(BenzelParams(3, 3))
+    good = next(enumerate_tilings(r, STONES_AND_BONES))
+    ps = placements(r, BONES)
+    for bad in (Tiling(r, ()), Tiling(r, (ps[0], ps[0])), Tiling(r, good.placements[1:])):
+        assert stone_balance(good) == 3
+        assert validate(Tiling(r, good.placements))
+        with pytest.raises(InvalidTiling):
+            stone_balance(bad)
+        with pytest.raises(InvalidTiling):
+            orientation_histogram(bad)
+        assert not validate(bad) and not bad._valid
+
+
+def test_validity_belongs_to_one_tiling_object():
+    r = benzel(BenzelParams(5, 7))
+    twin = next(enumerate_tilings(r, BONES))
+    hand = Tiling(r, tuple(reversed(twin.placements)))
+    assert hand == twin and hash(hand) == hash(twin) and repr(hand) == repr(twin)
+    assert tiling_to_json(hand) == tiling_to_json(twin)
+    assert twin._valid and not hand._valid
+    # Validating a copy marks the copy only, so the other is still checked.
+    copy = Tiling(r, hand.placements)
+    assert validate(copy)
+    assert copy._valid and not hand._valid
+    assert orientation_histogram(hand) == (3, 3, 3, 0, 0)
+    assert hand._valid
+    # A parsed tiling is checked on first use too.
+    parsed = tiling_from_json(tiling_to_json(twin))
+    assert parsed == twin and not parsed._valid
+
+
+def test_reference_check_ignores_the_mark():
+    # Only the statistics read the mark; validate and validation_error
+    # recompute, so a tiling marked by mistake still fails them.
+    r = benzel(BenzelParams(3, 3))
+    forged = _mark_valid(Tiling(r, ()))
+    assert validation_error(forged) == "cell (-2, -2) is uncovered"
+    assert not validate(forged)
+    assert orientation_histogram(forged) == (0, 0, 0, 0, 0)
+
+
+def test_empty_region_has_one_empty_tiling():
+    empty = Region(frozenset())
+    for tileset in (BONES, STONES_AND_BONES):
+        ts = list(enumerate_tilings(empty, tileset))
+        assert ts == [Tiling(empty, ())]
+        assert ts[0]._valid and validation_error(ts[0]) is None
+        assert orientation_histogram(ts[0]) == (0, 0, 0, 0, 0)
+        assert stone_balance(ts[0]) == 0
+    assert list(enumerate_tilings(empty, BONES, limit=0)) == []
 
 
 def test_all_bones_tilings_balance_zero():
