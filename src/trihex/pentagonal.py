@@ -22,7 +22,7 @@ from .hexlattice import (
     word_from_string,
 )
 from .regions import _CELL_EDGES, BenzelParams, Region, benzel, despur
-from .tilings import Placement, TileKind, Tiling
+from .tilings import BONES, Tiling, _unchecked
 
 # The center of the cell on the left of each step, as an offset from the
 # step's tail: edge i of a cell runs counterclockwise round it.
@@ -134,13 +134,9 @@ def construct_tiling(k: int) -> Tiling:
     (x, y) is joined by its turns by 120 and 240 degrees, the b-c bone
     anchored at (-y, x - y) and the c-a bone at (y - x - 4, -x - 2)."""
     region = benzel(pentagonal_benzel(k))
-    placements: List[Placement] = []
-    for c, lo, hi in _sector0_runs(k):
-        for x in range(lo, hi + 1, 3):
-            y = c - x
-            placements += [
-                Placement(TileKind.BONE_AB, LatticePoint(x, y)),
-                Placement(TileKind.BONE_BC, LatticePoint(-y, x - y)),
-                Placement(TileKind.BONE_CA, LatticePoint(y - x - 4, -x - 2)),
-            ]
-    return Tiling(region, tuple(placements))
+    ab = [LatticePoint(x, c - x) for c, lo, hi in _sector0_runs(k) for x in range(lo, hi + 1, 3)]
+    # Turning keeps the class -1 of every sector cell: no anchor needs a check.
+    bc = [LatticePoint(-y, x - y) for x, y in ab]
+    ca = [LatticePoint(y - x - 4, -x - 2) for x, y in ab]
+    kinds = [kind for kind in BONES for _ in ab]
+    return Tiling(region, tuple(_unchecked(kinds, ab + bc + ca)))

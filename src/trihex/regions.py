@@ -376,11 +376,16 @@ def region_from_json(obj: object) -> Region:
         raise FormatError("region file lacks a 'cells' key")
     if not isinstance(obj["cells"], list):
         raise FormatError("'cells' must be a list")
-    cells = [point_from_json(item, "bad cell entry") for item in obj["cells"]]
-    if len(set(cells)) != len(cells):
+    items = obj["cells"]
+    # One exact-type pass, then the points in bulk; when an entry fails it,
+    # the per-entry reader runs instead and words the first bad entry.
+    if not all(type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in items):
+        items = [point_from_json(item, "bad cell entry") for item in items]
+    cells = frozenset(map(LatticePoint._make, items))
+    if len(cells) != len(items):
         raise FormatError("duplicate cells in region file")
     try:
-        return Region(frozenset(cells))
+        return Region(cells)
     except InvalidParams as e:
         raise FormatError(str(e)) from None
 

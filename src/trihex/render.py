@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvalidParams
 from .hexlattice import LatticePoint, Word
@@ -73,56 +75,66 @@ def render_svg(
     between two cells of the same tile.  The viewBox spans every vertex
     drawn, and the corners of the tiling's cells when the cell layer did
     not draw them.  Vertices stay plain integer pairs: screen x depends
-    only on u = 2x - y and screen y only on y, so each distinct u and y is
-    formatted once, keyed by value.  Raises InvalidParams when the unit
-    puts the viewBox beyond the float range.
+    only on u = 2x - y and screen y only on y, so before a ring (the cell
+    corners, one kind's tile outline, a word) is drawn about its anchors,
+    each distinct u and y it reaches is formatted once, keyed by value.
+    Raises InvalidParams when the unit puts the viewBox beyond the float range.
     """
     elements: List[str] = []
     unit = spec.unit
     # unit * (u / 2.0) is the float embed gives while |x|, |y| < 2**51.
-    # The keys of xs and ys are the values the viewBox must span.
+    # The keys of xs and ys are the values drawn.
     xs: Dict[int, str] = {}
     ys: Dict[int, str] = {}
 
-    def points(ring: Iterable[Tuple[int, int]], ax: int = 0, ay: int = 0) -> str:
-        out = []
-        for dx, dy in ring:  # each vertex of ring moved by (ax, ay)
-            y = ay + dy
-            u = 2 * (ax + dx) - y
-            tx = xs.get(u) or xs.setdefault(u, _fmt(unit * (u / 2.0)))
-            ty = ys.get(y) or ys.setdefault(y, _fmt(unit * (-y * _SQRT3_2)))
-            out.append(f"{tx},{ty}")
-        return " ".join(out)
+    def points(
+        ring: Iterable[Tuple[int, int]], anchors: Collection[Tuple[int, int]]
+    ) -> Iterator[str]:
+        # Vertex (dx, dy) about anchor (x, y) is at u = 2x - y + du, y + dy;
+        # every anchor draws every vertex, so only values drawn are added.
+        template = [(2 * dx - dy, dy) for dx, dy in ring]
+        us, vs = {2 * x - y for x, y in anchors}, {y for _x, y in anchors}
+        for u in {u + du for du, _ in template for u in us}.difference(xs):
+            xs[u] = _fmt(unit * (u / 2.0))
+        for y in {y + dy for _, dy in template for y in vs}.difference(ys):
+            ys[y] = _fmt(unit * (-y * _SQRT3_2))
+        return (
+            " ".join([f"{xs[2 * x - y + du]},{ys[y + dy]}" for du, dy in template])
+            for x, y in anchors
+        )
+
+    def polyline(ring: Iterable[Tuple[int, int]]) -> str:
+        return next(points(ring, [(0, 0)]))
 
     if tiling is not None and region is None:
         region = tiling.region
 
     if hexagon is not None:
         elements.append(
-            f'<polygon class="hexagon" points="{points(bounding_hexagon(hexagon))}" '
+            f'<polygon class="hexagon" points="{polyline(bounding_hexagon(hexagon))}" '
             f'fill="none" stroke="{_HEXAGON_STROKE}" stroke-width="1" '
             'stroke-dasharray="4 3" />'
         )
 
     if region is not None and spec.show_cells:
-        for cx, cy in region.sorted_cells():
-            elements.append(
-                f'<polygon class="cell" points="{points(_CORNER_OFFSETS, cx, cy)}" '
-                f'fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
-                'stroke-width="1" />'
-            )
+        cells = region.sorted_cells()
+        # Fill the tables, then one f-string per cell; its corners as (du, dy)
+        # are (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1).
+        points(_CORNER_OFFSETS, cells)
+        elements += [
+            f'<polygon class="cell" points="{xs[u + 2]},{ys[y]} {xs[u + 1]},{ys[y + 1]} '
+            f'{xs[u - 1]},{ys[y + 1]} {xs[u - 2]},{ys[y]} {xs[u - 1]},{ys[y - 1]} '
+            f'{xs[u + 1]},{ys[y - 1]}" fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
+            'stroke-width="1" />'
+            for u, y in ((2 * x - y, y) for x, y in cells)
+        ]
 
     if tiling is not None:
-        for p in tiling.placements:
-            outline = points(_TILE_RINGS[p.kind.index], *p.anchor)
-            elements.append(
-                f'<polygon class="tile" points="{outline}" '
-                f'fill="{_TILE_FILLS[p.kind.index]}" stroke="{_TILE_STROKE}" '
-                'stroke-width="2" />'
-            )
-        if not (spec.show_cells and tiling.region == region):
-            for cx, cy in tiling.region.cells:
-                points(_CORNER_OFFSETS, cx, cy)
+        # Placements sort by kind, so a group holds one kind's tiles.
+        for kind, group in groupby(tiling.placements, key=attrgetter("kind")):
+            tail = f'" fill="{_TILE_FILLS[kind.index]}" stroke="{_TILE_STROKE}" stroke-width="2" />'
+            outlines = points(_TILE_RINGS[kind.index], [p.anchor for p in group])
+            elements += [f'<polygon class="tile" points="{o}{tail}' for o in outlines]
 
     for word, cls, stroke in (
         (boundary, "boundary", _BOUNDARY_STROKE),
@@ -130,14 +142,20 @@ def render_svg(
     ):
         if word is not None:
             elements.append(
-                f'<polyline class="{cls}" points="{points(word.vertices())}" '
+                f'<polyline class="{cls}" points="{polyline(word.vertices())}" '
                 f'fill="none" stroke="{stroke}" stroke-width="2.5" '
                 'stroke-linejoin="round" />'
             )
 
-    # Both embeddings are monotone, so the keys give the extremes.
-    left, right = (unit * (u / 2.0) for u in (min(xs, default=0), max(xs, default=0)))
-    top, bottom = (unit * (-y * _SQRT3_2) for y in (max(ys, default=0), min(ys, default=0)))
+    # Both embeddings are monotone, so extreme values give the extremes.
+    u_ends, y_ends = [*xs], [*ys]
+    tiled = tiling.region.cells if tiling is not None else ()
+    if tiled and not (spec.show_cells and tiling.region == region):
+        # The tiling's cell corners lie at du -2..2 and dy -1..1 from the centres.
+        u_ends += [min(2 * x - y for x, y in tiled) - 2, max(2 * x - y for x, y in tiled) + 2]
+        y_ends += [min(y for _x, y in tiled) - 1, max(y for _x, y in tiled) + 1]
+    left, right = (unit * (u / 2.0) for u in (min(u_ends, default=0), max(u_ends, default=0)))
+    top, bottom = (unit * (-y * _SQRT3_2) for y in (max(y_ends, default=0), min(y_ends, default=0)))
     x0, y0 = left - _MARGIN, top - _MARGIN
     w = right - left + 2 * _MARGIN
     h = bottom - top + 2 * _MARGIN

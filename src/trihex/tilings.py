@@ -33,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
 from .hexlattice import ORIGIN, LatticePoint, class_of
@@ -94,6 +94,17 @@ class Placement:
     def __lt__(self, other: "Placement") -> bool:
         # Kinds sort in declaration order (bones before stones).
         return _placement_key(self) < _placement_key(other)
+
+
+def _unchecked(kinds: Iterable[TileKind], anchors: Iterable[LatticePoint]) -> List[Placement]:
+    """Placement(kind, anchor) of each pair, less its check of the anchor's class."""
+    out = []
+    for kind, anchor in zip(kinds, anchors):
+        p = object.__new__(Placement)  # what __init__ does, less __post_init__
+        object.__setattr__(p, "kind", kind)
+        object.__setattr__(p, "anchor", anchor)
+        out.append(p)
+    return out
 
 
 def _placement_key(p: Placement) -> Tuple[int, LatticePoint]:
@@ -536,6 +547,16 @@ def tiling_from_json(obj: object) -> Tiling:
     tiles = obj["tiles"]
     if not isinstance(tiles, list):
         raise FormatError("'tiles' must be a list")
+    # One exact-type pass, then the placements in bulk; when an entry fails
+    # it, the per-entry reader runs instead and words the first bad entry.
+    if all(
+        type(e) is dict and len(e) == 2 and type(e.get("kind")) is str
+        and e["kind"] in KIND_BY_NAME and type(a := e.get("anchor")) is list
+        and len(a) == 2 and type(a[0]) is type(a[1]) is int and (a[0] + a[1]) % 3 == 2
+        for e in tiles
+    ):
+        anchors = map(LatticePoint._make, [e["anchor"] for e in tiles])
+        return Tiling(region, tuple(_unchecked([KIND_BY_NAME[e["kind"]] for e in tiles], anchors)))
     placs = []
     for entry in tiles:
         if not isinstance(entry, dict) or set(entry) != {"kind", "anchor"}:

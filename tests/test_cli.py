@@ -6,7 +6,14 @@ import json
 import pytest
 
 from trihex.cli import main
-from trihex.regions import BenzelParams, benzel, region_to_json, trace_boundary
+from trihex.regions import (
+    BenzelParams,
+    benzel,
+    region_to_json,
+    trace_boundary,
+    triangle,
+    word_to_text,
+)
 from trihex.render import render_svg
 from trihex.tilings import (
     STONES_AND_BONES,
@@ -183,6 +190,35 @@ def test_scan_search_flags_bone_tileable(capsys):
     rows = json.loads(out)
     tileable = {(r["a"], r["b"]) for r in rows if r.get("boneTileable")}
     assert tileable == {(5, 7), (7, 5)}
+
+
+def test_scan_search_text_table(capsys):
+    code, out, err = run(capsys, "scan", "--max", "8", "--search")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 38  # the header and 37 benzels
+    assert lines[0] == "a  b  class  cellCount  invariantI  pentagonalK  boneTileable"
+    assert lines[1] == "2  2      1          3          -3            -         False"
+    assert lines[20] == "5  7      0         27           0            2          True"
+    assert lines[29] == "7  5      0         27           0            2          True"
+    digest = "2379fb576e1c5dcfd234d755ccf8a871ba51fa12d2c4bf5c0d9d347b3d8409d5"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # Above the cap the search is skipped and its cell reads "-".
+    code, out, _ = run(capsys, "scan", "--max", "8", "--search", "--search-cap", "20")
+    assert code == 0
+    assert out.splitlines()[20] == "5  7      0         27           0            2             -"
+    assert out.splitlines()[13] == "4  6      1         18         -18            -         False"
+
+
+def test_triangle_boundary_word(capsys):
+    word = (
+        "base=-3,-3 a c' a c' a c' a c' b a' b a' b a' b a' c b' c b' c b' c b'"
+    )
+    assert word == word_to_text(trace_boundary(triangle(4)))
+    assert run(capsys, "triangle", "--n", "4", "--boundary-word") == (0, word + "\n", "")
+    code, out, err = run(capsys, "triangle", "--n", "4", "--boundary-word", "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"word": word}) + "\n"
 
 
 def test_render_region(tmp_path, capsys):

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from trihex.errors import InvalidParams
+from trihex.errors import InvalidParams, InvalidPlacement
 from trihex.hexlattice import (
     ORIGIN,
     LatticePoint,
     Word,
+    class_of,
     rotate120,
     signed_area,
     winding_numbers,
@@ -22,10 +23,13 @@ from trihex.pentagonal import (
 from trihex.regions import benzel, despur
 from trihex.tilings import (
     BONES,
+    Placement,
+    TileKind,
     enumerate_tilings,
     orientation_histogram,
     tiling_to_json,
     validate,
+    validation_error,
 )
 
 
@@ -92,6 +96,22 @@ def test_construct_small():
     t = construct_tiling(2)
     assert validate(t)
     assert orientation_histogram(t) == (3, 3, 3, 0, 0)
+
+
+def test_construct_builds_what_the_public_constructor_builds():
+    # construct_tiling skips Placement's per-anchor class check; its
+    # placements must still be valid, class -1 and equal to checked ones.
+    for k in range(2, 7):
+        t = construct_tiling(k)
+        assert validation_error(t) is None
+        assert all(class_of(p.anchor) == -1 for p in t.placements)
+        rebuilt = tuple(Placement(p.kind, LatticePoint(*p.anchor)) for p in t.placements)
+        assert t.placements == rebuilt
+        assert list(map(hash, t.placements)) == list(map(hash, rebuilt))
+        assert [type(p.anchor) for p in t.placements] == [LatticePoint] * len(rebuilt)
+    with pytest.raises(InvalidPlacement) as e:
+        Placement(TileKind.BONE_AB, LatticePoint(0, 0))
+    assert str(e.value) == "anchor (0, 0) has class 0, not -1"
 
 
 def test_construct_uses_one_orientation_per_sector():

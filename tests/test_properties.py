@@ -1,10 +1,21 @@
 """Property-based checks on randomly grown regions (derandomized, with a
 fixed number of examples, so every run tests the same regions)."""
 
+import copy
+import itertools
+from collections import OrderedDict
+from enum import IntEnum
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trihex.errors import EmptyRegion, NotSimplyConnected
+from trihex.errors import (
+    EmptyRegion,
+    FormatError,
+    InvalidParams,
+    InvalidPlacement,
+    NotSimplyConnected,
+)
 from trihex.hexlattice import (
     LatticePoint,
     Word,
@@ -20,20 +31,26 @@ from trihex.regions import (
     cyclically_equal,
     despur,
     find_spurs,
+    region_from_json,
+    region_to_json,
     trace_boundary,
 )
 from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
 from trihex.tilings import (
     BONES,
+    KIND_BY_NAME,
     STONES_AND_BONES,
     Placement,
     TileKind,
+    Tiling,
     cells_of,
     count_tilings,
     enumerate_tilings,
     placement_frequency,
     placements,
     stone_balance,
+    tiling_from_json,
+    tiling_to_json,
 )
 
 _NEIGHBOURS = ((1, -1), (1, 2), (2, 1), (-1, 1), (-1, -2), (-2, -1))
@@ -381,3 +398,129 @@ def test_boundary_cycle_matches_the_reference(
     assert mine == _boundary_outcome(_reference_boundary_cycle, cells)
     if isinstance(mine, list):
         assert all(type(v) is LatticePoint for v in mine)
+
+
+# -- the JSON readers against a per-entry reference ----------------------------
+
+
+def _reference_point(item, what):
+    if isinstance(item, list) and len(item) == 2:
+        x, y = item
+        if isinstance(x, int) and isinstance(y, int) and bool not in (type(x), type(y)):
+            return LatticePoint(x, y)
+    raise FormatError(f"{what} {item!r}")
+
+
+def _reference_region_from_json(obj):
+    """region_from_json as a reader that checks and converts one entry at
+    a time."""
+    if not isinstance(obj, dict):
+        raise FormatError("region file must be a JSON object")
+    unknown = set(obj) - {"cells"}
+    if unknown:
+        raise FormatError(f"unknown region keys: {sorted(unknown)}")
+    if "cells" not in obj:
+        raise FormatError("region file lacks a 'cells' key")
+    if not isinstance(obj["cells"], list):
+        raise FormatError("'cells' must be a list")
+    cells = [_reference_point(item, "bad cell entry") for item in obj["cells"]]
+    if len(set(cells)) != len(cells):
+        raise FormatError("duplicate cells in region file")
+    try:
+        return Region(frozenset(cells))
+    except InvalidParams as e:
+        raise FormatError(str(e)) from None
+
+
+def _reference_tiling_from_json(obj):
+    """tiling_from_json as a reader that checks and builds one tile at a
+    time through the public Placement constructor."""
+    if not isinstance(obj, dict):
+        raise FormatError("tiling must be a JSON object")
+    extra = set(obj) - {"region", "tiles"}
+    if extra:
+        raise FormatError(f"unknown tiling keys {sorted(extra)}")
+    if "region" not in obj or "tiles" not in obj:
+        raise FormatError("tiling needs 'region' and 'tiles'")
+    region = _reference_region_from_json(obj["region"])
+    tiles = obj["tiles"]
+    if not isinstance(tiles, list):
+        raise FormatError("'tiles' must be a list")
+    placs = []
+    for entry in tiles:
+        if not isinstance(entry, dict) or set(entry) != {"kind", "anchor"}:
+            raise FormatError(f"bad tile entry {entry!r}")
+        name = entry["kind"]
+        kind = KIND_BY_NAME.get(name) if isinstance(name, str) else None
+        if kind is None:
+            raise FormatError(f"unknown tile kind {name!r}")
+        anchor = _reference_point(entry["anchor"], "bad anchor")
+        try:
+            placs.append(Placement(kind, anchor))
+        except InvalidPlacement as e:
+            raise FormatError(str(e))
+    return Tiling(region, tuple(placs))
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Pair(list):
+    pass
+
+
+# Entries no reader takes, and some that only the per-entry path takes
+# (int and list subclasses).
+_BAD_PAIRS = [
+    [True, 1], [1, False], [1.0, 1], [1, 1.0], [1], [1, 1, 0], [], "1,1", None,
+    {"x": 1, "y": 1}, [0, 0], [1, 0], [-2, -2.5], [_One.ONE, 1], _Pair([1, 1]),
+]
+_DROP = object()  # a tile key to leave out
+_BAD_TILES = [
+    {"extra": 1}, {"kind": _DROP}, {"anchor": _DROP}, {"kind": _DROP, "anchor": _DROP},
+    {"kind": 3}, {"kind": True}, {"kind": None}, {"kind": ["boneAB"]},
+    {"kind": "boneXY"}, {"kind": "BONEAB"},
+] + [{"anchor": pair} for pair in _BAD_PAIRS]
+_WHERE = (lambda n: 0, lambda n: n // 2, lambda n: n)  # first, middle, last
+
+
+def _read_outcome(read, doc):
+    try:
+        return read(copy.deepcopy(doc))
+    except FormatError as e:
+        return (type(e), str(e))
+
+
+def _same_reading(read, reference, doc):
+    mine = _read_outcome(read, doc)
+    assert mine == _read_outcome(reference, doc)
+    return mine
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=8))
+def test_json_readers_match_the_per_entry_reference(picks):
+    """Every bad entry, first, in the middle and last, of every region
+    grown and its first two tilings gives the reference's object or the
+    reference's error."""
+    region = _grow(picks)
+    doc = region_to_json(region)
+    assert _same_reading(region_from_json, _reference_region_from_json, doc) == region
+    cells = doc["cells"]
+    for bad, where in itertools.product(_BAD_PAIRS + [cells[0]], _WHERE):
+        at = where(len(cells))
+        bad_doc = {"cells": cells[:at] + [bad] + cells[at:]}
+        _same_reading(region_from_json, _reference_region_from_json, bad_doc)
+    for t in enumerate_tilings(region, STONES_AND_BONES, 2):
+        doc = tiling_to_json(t)
+        assert _same_reading(tiling_from_json, _reference_tiling_from_json, doc) == t
+        tiles = doc["tiles"]
+        bad_tiles = [
+            {k: v for k, v in {**tiles[0], **change}.items() if v is not _DROP}
+            for change in _BAD_TILES
+        ] + ["boneAB", [], OrderedDict(tiles[-1]), dict(tiles[0])]
+        for bad, where in itertools.product(bad_tiles, _WHERE):
+            at = where(len(tiles))
+            bad_doc = {"region": doc["region"], "tiles": tiles[:at] + [bad] + tiles[at:]}
+            _same_reading(tiling_from_json, _reference_tiling_from_json, bad_doc)
