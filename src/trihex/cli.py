@@ -55,6 +55,7 @@ from .tilings import (
     enumerate_tilings,
     tiling_from_json,
     tiling_to_json,
+    _tiles_to_json,
 )
 
 _TILESETS = {"bones": BONES, "stones+bones": STONES_AND_BONES}
@@ -190,8 +191,11 @@ def _cmd_tile(args: argparse.Namespace) -> int:
     if args.tile_cmd == "count":
         print(count_tilings(region, tileset, args.memo_limit_mb))
     elif args.tile_cmd == "enumerate":
+        # Each line is json.dumps(tiling_to_json(t)); every line holds the
+        # same region, so its text is encoded once.
+        head = '{"region": ' + json.dumps(region_to_json(region)) + ', "tiles": '
         for t in enumerate_tilings(region, tileset, args.limit):
-            print(json.dumps(tiling_to_json(t)))
+            print(head + json.dumps(_tiles_to_json(t)) + "}")
     else:  # freq
         p = _parse_placement(args.placement)
         print(placement_frequency(region, tileset, p, args.memo_limit_mb))

@@ -18,13 +18,19 @@ fixes its documented output order; it keeps its own stack of frames, so
 neither engine recurses and region size never meets the recursion limit.
 It records each frontier state found to have no completion and never
 enters one again; that dead-state set obeys the same memory cap, and
-once full it stops growing while the search goes on unchanged.
+once full it stops growing while the search goes on unchanged.  Each move
+of the table carries its rank, its index in placements(r, tileset), whose
+(kind, anchor) order is the canonical order of a tiling's placements, so
+enumeration puts each tiling in that order by a plain sort of its ranks.
 
 A tiling is frozen, so once valid it stays valid, and each Tiling object
 remembers whether it is known to be: the tilings enumeration yields are
 marked when built, and any other tiling is marked by the first check it
 passes.  The statistics skip the check on a marked tiling; validate and
 validation_error always recompute.
+
+A tileset is a collection of TileKind members; any other entry raises
+InvalidParams.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import FormatError, InvalidPlacement, InvalidTiling, ResourceLimit
+from .errors import FormatError, InvalidParams, InvalidPlacement, InvalidTiling, ResourceLimit
 from .hexlattice import ORIGIN, LatticePoint, class_of
 from .regions import Region, point_from_json, region_from_json, region_to_json
 
@@ -139,13 +145,38 @@ def _mark_valid(t: Tiling) -> Tiling:
     return t
 
 
+def _trusted(region: Region, placements: Tuple[Placement, ...]) -> Tiling:
+    """Tiling(region, placements), marked valid, for placements that
+    partition the region and are already sorted by _placement_key."""
+    t = object.__new__(Tiling)  # what __init__ does, less the sort
+    object.__setattr__(t, "region", region)
+    object.__setattr__(t, "placements", placements)
+    object.__setattr__(t, "_valid", True)
+    return t
+
+
+def _tileset_kinds(tileset: Iterable[TileKind]) -> FrozenSet[TileKind]:
+    """The kinds of a tileset; InvalidParams names its first entry that is
+    not a TileKind.  Every public function taking a tileset checks it here,
+    the engines through placements."""
+    try:
+        entries = tuple(tileset)
+    except TypeError:
+        raise InvalidParams(f"a tileset is a collection of TileKind, got {tileset!r}") from None
+    for k in entries:
+        if not isinstance(k, TileKind):
+            raise InvalidParams(f"tileset entry {k!r} is not a TileKind")
+    return frozenset(entries)
+
+
 def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
     """All placements of the given kinds lying entirely inside r, in
     deterministic (kind, anchor) order."""
+    kinds = _tileset_kinds(tileset)
     cells = r.cells
     anchors = sorted(cells)
     out: List[Placement] = []
-    for kind in [k for k in TileKind if k in tileset]:
+    for kind in [k for k in TileKind if k in kinds]:
         _, (x1, y1), (x2, y2) = kind.offsets  # the first is (0, 0)
         for anchor in anchors:
             x, y = anchor
@@ -203,19 +234,21 @@ def _move_table(
     r: Region,
     tileset: Sequence[TileKind],
     key: Callable[[LatticePoint], Tuple[int, int]],
-) -> List[List[Tuple[Placement, int]]]:
-    """The move table both engines share.  With the cells sorted by key,
-    entry i lists the placements whose first (lowest-index) covered cell is
-    cell i, each with its cells relative to cell i as mask bits."""
+) -> Tuple[List[Placement], List[List[Tuple[int, int]]]]:
+    """The move table both engines share: placements(r, tileset), and with
+    the cells sorted by key, per cell i the moves whose first (lowest-index)
+    covered cell is cell i, each as (rank, bits): the placement's index in
+    that list, and its cells relative to cell i as mask bits."""
+    ps = placements(r, tileset)
     index = {c: i for i, c in enumerate(sorted(r.cells, key=key))}
-    table: List[List[Tuple[Placement, int]]] = [[] for _ in index]
-    for p in placements(r, tileset):
+    table: List[List[Tuple[int, int]]] = [[] for _ in index]
+    for rank, p in enumerate(ps):
         x, y = p.anchor
         _, (x1, y1), (x2, y2) = p.kind.offsets
         i0, i1, i2 = index[p.anchor], index[x + x1, y + y1], index[x + x2, y + y2]
         lo = min(i0, i1, i2)
-        table[lo].append((p, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
-    return table
+        table[lo].append((rank, (1 << (i0 - lo)) | (1 << (i1 - lo)) | (1 << (i2 - lo))))
+    return ps, table
 
 
 # Resident bytes per live counting state: a dict slot plus its int mask and
@@ -258,7 +291,7 @@ def _check_cap(i: int, n: int, states: int, limit: int, kept: bool) -> None:
 
 
 def _sweep(
-    table: List[List[Tuple[Placement, int]]], limit: Optional[int], keep: bool
+    table: List[List[Tuple[int, int]]], limit: Optional[int], keep: bool
 ) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]]]:
     """The forward frontier sweep behind count_tilings and the frequency
     table.  Returns the buckets (bucket i maps the window mask of each
@@ -267,7 +300,7 @@ def _sweep(
     once popped, so only bucket n is left; with keep every bucket stays,
     and the cap is charged for all of them."""
     n = len(table)
-    moves = [[bits for _p, bits in ps] for ps in table]
+    moves = [[bits for _rank, bits in ms] for ms in table]
     reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
@@ -321,7 +354,7 @@ def count_tilings(
     the estimated bytes of live states.  Past the cap the sweep raises
     ResourceLimit, naming the cell it reached; it never returns a bogus 0.
     """
-    table = _move_table(r, tileset, _counting_order)
+    table = _move_table(r, tileset, _counting_order)[1]
     n = len(table)
     if n % 3:
         return 0
@@ -335,9 +368,9 @@ def _frequency_table(
     """The frequency of every placement in placements(r, tileset), keyed by
     _placement_key, from the kept forward sweep and one backward pass over
     the same buckets."""
-    table = _move_table(r, tileset, _counting_order)
+    ps, table = _move_table(r, tileset, _counting_order)
     n = len(table)
-    freq = {_placement_key(p): 0 for ps in table for p, _bits in ps}
+    freq = {_placement_key(p): 0 for p in ps}
     if n % 3:
         return freq
     limit = _memo_limit_bytes(memo_limit_mb)
@@ -374,8 +407,8 @@ def _frequency_table(
             _check_cap(i, n, held + len(out), limit, kept=True)
         held += len(out) - len(layer)
         buckets[i] = out
-        for (p, _bits), total in zip(table[i], sums):
-            freq[_placement_key(p)] = total
+        for (rank, _bits), total in zip(table[i], sums):
+            freq[_placement_key(ps[rank])] = total
     return freq
 
 
@@ -403,14 +436,18 @@ def enumerate_tilings(
     goes on without recording more, never raising for lack of room.
 
     Every tiling yielded is valid by construction and marked so: the
-    statistics trust it without a second check.
+    statistics trust it without a second check.  Its placements come out
+    in canonical order from their ranks (their indices in
+    placements(r, tileset)), sorted as plain ints, so it is equal to,
+    hashes like and holds the same tuple as Tiling(r, its placements).
     """
+    _tileset_kinds(tileset)  # checked before the first tiling, even for limit 0
     if limit is not None and limit <= 0:
         return
-    by_first = _move_table(r, tileset, _enumeration_order)
+    ps, by_first = _move_table(r, tileset, _enumeration_order)
     n = len(by_first)
     if n == 0:
-        yield _mark_valid(Tiling(r, ()))
+        yield _trusted(r, ())
         return
     if n % 3:
         return
@@ -418,13 +455,13 @@ def enumerate_tilings(
     room = None if cap is None else cap // _BYTES_PER_STATE
     shift = n.bit_length()  # the key mask << shift | i is injective for i <= n
     dead: set = set()
-    # A frame is (cell, mask, untried moves, the placement that led to it,
-    # the number of tilings yielded before it was pushed).
+    # A frame is (cell, mask, untried moves, the rank of the placement that
+    # led to it, the number of tilings yielded before it was pushed).
     frames = [(0, 0, iter(by_first[0]), None, 0)]
     emitted = 0
     while frames:
         i, mask, untried, _, before = frames[-1]
-        for p, bits in untried:
+        for rank, bits in untried:
             if not mask & bits:
                 break
         else:
@@ -437,9 +474,12 @@ def enumerate_tilings(
         if i + j < n:
             m >>= j
             if m << shift | (i + j) not in dead:
-                frames.append((i + j, m, iter(by_first[i + j]), p, emitted))
+                frames.append((i + j, m, iter(by_first[i + j]), rank, emitted))
             continue
-        yield _mark_valid(Tiling(r, tuple(f[3] for f in frames[1:]) + (p,)))
+        ranks = [f[3] for f in frames[1:]]
+        ranks.append(rank)
+        ranks.sort()
+        yield _trusted(r, tuple(map(ps.__getitem__, ranks)))
         emitted += 1
         if limit is not None and emitted >= limit:
             return
@@ -508,12 +548,13 @@ def placement_frequency(
     InvalidPlacement.
     """
     global _last_frequencies
+    kinds = _tileset_kinds(tileset)
     cells = frozenset(cells_of(p))
     if not cells <= r.cells:
         raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
-    if p.kind not in tileset:
+    if p.kind not in kinds:
         return count_tilings(Region(r.cells - cells), tileset, memo_limit_mb)
-    key = (r, frozenset(tileset))
+    key = (r, kinds)
     last = _last_frequencies
     if last is None or last[0] != key:
         last = (key, _frequency_table(r, tileset, memo_limit_mb))
@@ -525,13 +566,12 @@ def placement_frequency(
 
 def tiling_to_json(t: Tiling) -> dict:
     """JSON-ready dict for a tiling; tiles sorted by (kind, anchor)."""
-    return {
-        "region": region_to_json(t.region),
-        "tiles": [
-            {"kind": p.kind.value, "anchor": [p.anchor.x, p.anchor.y]}
-            for p in t.placements
-        ],
-    }
+    return {"region": region_to_json(t.region), "tiles": _tiles_to_json(t)}
+
+
+def _tiles_to_json(t: Tiling) -> list:
+    """The "tiles" list of tiling_to_json(t)."""
+    return [{"kind": p.kind.value, "anchor": [p.anchor.x, p.anchor.y]} for p in t.placements]
 
 
 def tiling_from_json(obj: object) -> Tiling:

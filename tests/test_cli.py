@@ -16,7 +16,9 @@ from trihex.regions import (
 )
 from trihex.render import render_svg
 from trihex.tilings import (
+    BONES,
     STONES_AND_BONES,
+    count_tilings,
     enumerate_tilings,
     tiling_from_json,
     tiling_to_json,
@@ -142,6 +144,23 @@ def test_tile_enumerate_limit(capsys):
     assert len(lines) == 2
     for line in lines:
         assert validate(tiling_from_json(json.loads(line)))
+
+
+@pytest.mark.parametrize("args, tileset, limit", [
+    (("--benzel", "4,5", "--tiles", "stones+bones"), STONES_AND_BONES, None),
+    (("--benzel", "5,7", "--tiles", "bones"), BONES, None),
+    (("--benzel", "12,15", "--tiles", "bones", "--limit", "25"), BONES, 25),
+])
+def test_tile_enumerate_prints_each_tiling_json(capsys, args, tileset, limit):
+    # The region is encoded once per run; every line must still be exactly
+    # the tiling's own JSON.
+    code, out, _ = run(capsys, "tile", "enumerate", *args)
+    assert code == 0
+    r = benzel(BenzelParams(*map(int, args[1].split(","))))
+    expected = "".join(
+        json.dumps(tiling_to_json(t)) + "\n" for t in enumerate_tilings(r, tileset, limit)
+    )
+    assert out == expected and out.count("\n") == (limit or count_tilings(r, tileset))
 
 
 def test_tile_construct_roundtrip(tmp_path, capsys):

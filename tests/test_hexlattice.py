@@ -168,6 +168,14 @@ def test_winding_number_validates_input():
         winding_number(word_from_string("a"), LatticePoint(1, 1))
 
 
+def test_batch_winding_validates_input():
+    w = word_from_string("b a' c b' a c'", LatticePoint(-1, -2))
+    with pytest.raises(NotClosed, match=r"^winding number requires a closed word$"):
+        winding_numbers(word_from_string("a"), [LatticePoint(1, 1)])
+    with pytest.raises(NotACellCenter, match=r"^\(0, 0\) has class 0, not -1$"):
+        winding_numbers(w, [LatticePoint(-2, -2), ORIGIN])
+
+
 def test_batch_winding_matches_scalar():
     rng = random.Random(99)
     for _ in range(10):

@@ -110,6 +110,17 @@ def test_shadow_requires_closed_word():
             classify_steps(word_from_string(text))
 
 
+def test_shadow_of_a_word_shorter_than_a_hexagon_is_not_closed():
+    # Closed and spur-free, but shorter than any cycle of the hexagon graph.
+    for text in ("a b c", "a b a' b'"):
+        w = word_from_string(text)
+        assert w.is_closed and not find_spurs(w)
+        with pytest.raises(
+            ShadowNotClosed, match=r"^closed spur-free hexagon words have length >= 6$"
+        ):
+            shadow_word(w)
+
+
 def test_shadow_requires_matching_basepoint_class():
     w = trace_boundary(triangle(3))
     assert class_of(w.basepoint) == 0

@@ -49,6 +49,7 @@ from trihex.tilings import (
     _counting_order,
     _mark_valid,
     _move_table,
+    _placement_key,
     _sweep,
 )
 
@@ -397,6 +398,28 @@ def test_enumerated_tilings_recheck_valid():
     assert checked == 3 + 18 + 2 + 142
 
 
+def test_enumerated_tilings_are_in_canonical_order():
+    # Enumeration sorts each tiling's placements by rank, not through
+    # Tiling's constructor; the result must be what the constructor makes.
+    shapes = [benzel(BenzelParams(a, b)) for a, b in ((3, 3), (4, 5), (5, 7), (7, 7))]
+    shapes.append(Region(frozenset(rotate120(c) + LatticePoint(5, -2) for c in shapes[2].cells)))
+    checked = 0
+    for r in shapes:
+        for tileset in (BONES, STONES_AND_BONES):
+            ts = list(enumerate_tilings(r, tileset))
+            assert len(ts) == count_tilings(r, tileset)
+            assert list(enumerate_tilings(r, tileset, 7)) == ts[:7]
+            for t in ts:
+                keys = [_placement_key(p) for p in t.placements]
+                assert keys == sorted(keys)
+                for rebuilt in (Tiling(r, t.placements), Tiling(r, t.placements[::-1])):
+                    assert rebuilt == t and hash(rebuilt) == hash(t)
+                    assert rebuilt.placements == t.placements
+                assert t._valid and validation_error(t) is None
+            checked += len(ts)
+    assert checked == 165 + 5766 + 144  # (3,3) to (5,7), (7,7), the moved (5,7)
+
+
 def test_invalid_tiling_is_checked_after_a_valid_one():
     r = benzel(BenzelParams(3, 3))
     good = next(enumerate_tilings(r, STONES_AND_BONES))
@@ -554,6 +577,51 @@ def test_frequency_of_a_kind_outside_the_tileset():
     assert {placement_frequency(r, BONES, p) for p in stones} != {0}
 
 
+@pytest.mark.parametrize("tileset, entry", [
+    (["boneAB", "boneBC", "boneCA"], "'boneAB'"),
+    ((TileKind.BONE_AB, "x"), "'x'"),
+    ("bones", "'b'"),
+])
+def test_tileset_entries_must_be_tile_kinds(tileset, entry):
+    # Names, or a stray entry among kinds, used to give a silent wrong
+    # count (0 for the bone tileset by name, where the count is 2).
+    r = benzel(BenzelParams(5, 7))
+    p = placements(r, BONES)[0]
+    calls = (
+        lambda: placements(r, tileset),
+        lambda: count_tilings(r, tileset),
+        lambda: list(enumerate_tilings(r, tileset)),
+        lambda: list(enumerate_tilings(r, tileset, 0)),
+        lambda: placement_frequency(r, tileset, p),
+        lambda: placement_frequency(r, tileset, Placement(TileKind.STONE_R, LatticePoint(41, 45))),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParams, match=rf"^tileset entry {entry} is not a TileKind$"):
+            call()
+
+
+def test_tileset_that_is_not_a_collection():
+    r = benzel(BenzelParams(5, 7))
+    with pytest.raises(InvalidParams, match=r"^a tileset is a collection of TileKind, got None$"):
+        count_tilings(r, None)
+    # The kinds themselves, in any collection, are a tileset.
+    names = ["boneAB", "boneBC", "boneCA"]
+    for tileset in ([KIND_BY_NAME[n] for n in names], set(BONES), BONES[::-1]):
+        assert count_tilings(r, tileset) == 2
+        assert len(list(enumerate_tilings(r, tileset))) == 2
+
+
+def test_empty_tileset():
+    r = benzel(BenzelParams(5, 7))
+    p = placements(r, BONES)[0]
+    assert placements(r, ()) == []
+    assert count_tilings(r, ()) == 0 and list(enumerate_tilings(r, ())) == []
+    assert placement_frequency(r, (), p) == 0
+    empty = Region(frozenset())
+    assert count_tilings(empty, ()) == 1
+    assert list(enumerate_tilings(empty, ())) == [Tiling(empty, ())]
+
+
 def test_frequency_of_a_placement_not_inside_the_region():
     r = benzel(BenzelParams(5, 7))
     inside = placements(r, BONES)[0]
@@ -608,7 +676,7 @@ def test_frequency_cap_raises_resource_limit():
     # A cap of exactly the kept forward sweep's states lets the sweep pass;
     # the backward pass, holding the new bucket beside the one it replaces,
     # then goes over it near the end.
-    table = _move_table(r, BONES, _counting_order)
+    table = _move_table(r, BONES, _counting_order)[1]
     states = sum(len(b) for b in _sweep(table, None, keep=True)[0] if b is not None)
     _sweep(table, states * _BYTES_PER_STATE, keep=True)
     with pytest.raises(ResourceLimit, match=r"^the frequency table stopped at cell 154 of 162: "):
