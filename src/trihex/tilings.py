@@ -5,23 +5,26 @@ collinear centers) and the two stone chiralities (three pairwise-adjacent
 cells).  Counting is a forward frontier sweep over the cells in row order
 (2x - y, then y) that keeps only the live frontier states, each with an
 exact int count; the memory cap bounds the estimated bytes of those live
-states.  Placement frequencies run the same sweep keeping every state,
-then a backward pass that counts each state's completions; a placement's
-frequency sums, over the moves that place it, the partial tilings before
-the move times the completions after it.  The table of all frequencies
-of the latest region and tileset asked about is kept, and here the cap
-bounds every state held, not just the live frontier.  A placement whose
-kind is outside the tileset is answered by counting the region less its
-cells.  Enumeration is a separate depth-first search over the same
-move table, built in its own diagonal order (x - y, then x), which
-fixes its documented output order; it keeps its own stack of frames, so
-neither engine recurses and region size never meets the recursion limit.
-It records each frontier state found to have no completion and never
-enters one again; that dead-state set obeys the same memory cap, and
-once full it stops growing while the search goes on unchanged.  Each move
-of the table carries its rank, its index in placements(r, tileset), whose
-(kind, anchor) order is the canonical order of a tiling's placements, so
-enumeration puts each tiling in that order by a plain sort of its ranks.
+states.  Each popped cell looks up the moves that fit a state by the
+pattern of covered cells they touch, in a per-cell table filled as
+patterns appear, so a state tries no move that overlaps it.  Placement
+frequencies run the same sweep keeping every state, then a backward pass
+that counts each state's completions; a placement's frequency sums, over
+the moves that place it, the partial tilings before the move times the
+completions after it.  The table of all frequencies of the latest region
+and tileset asked about is kept, and here the cap bounds every state
+held, not just the live frontier.  A placement whose kind is outside the
+tileset is answered by counting the region less its cells.  Enumeration
+is a separate depth-first search over the same move table, built in its
+own diagonal order (x - y, then x), which fixes its documented output
+order; it keeps its own stack of frames, so neither engine recurses and
+region size never meets the recursion limit.  It records each frontier
+state found to have no completion and never enters one again; that
+dead-state set obeys the same memory cap, and once full it stops growing
+while the search goes on unchanged.  Each move of the table carries its
+rank, its index in placements(r, tileset), whose (kind, anchor) order is
+the canonical order of a tiling's placements, so enumeration puts each
+tiling in that order by a plain sort of its ranks.
 
 A tiling is frozen, so once valid it stays valid, and each Tiling object
 remembers whether it is known to be: the tilings enumeration yields are
@@ -51,15 +54,17 @@ class TileKind(Enum):
     chiralities.  StoneR is the chirality whose boundary shadow encloses
     area +3; StoneL encloses -3.
 
-    Each member carries its sort position (index: bones before stones, in
-    declaration order) and the offsets of its three cells from the anchor,
-    the lexicographically smallest cell it covers (offsets, the first of
-    them (0, 0)).  Bone axes are the center-difference directions
-    1 - w = (1,-1), w - w^2 = (1,2), and w^2 - 1 = (-2,-1) re-anchored; the
-    stone chirality labels are pinned by the shadow-area criterion (+3 for
-    StoneR).  LatticePoint is a NamedTuple, so a plain (x, y) tuple hashes
-    and compares equal to the point: the hot loops below look cells up by
-    plain tuples built from these offsets instead of adding points.
+    Each member carries its file and command-line name (label: its value,
+    as a plain attribute that is cheap to read once per tile), its sort
+    position (index: bones before stones, in declaration order) and the
+    offsets of its three cells from the anchor, the lexicographically
+    smallest cell it covers (offsets, the first of them (0, 0)).  Bone axes
+    are the center-difference directions 1 - w = (1,-1), w - w^2 = (1,2),
+    and w^2 - 1 = (-2,-1) re-anchored; the stone chirality labels are
+    pinned by the shadow-area criterion (+3 for StoneR).  LatticePoint is a
+    NamedTuple, so a plain (x, y) tuple hashes and compares equal to the
+    point: the hot loops below look cells up by plain tuples built from
+    these offsets instead of adding points.
     """
 
     BONE_AB = "boneAB", 0, (1, -1), (2, -2)
@@ -70,7 +75,7 @@ class TileKind(Enum):
 
     def __new__(cls, name: str, index: int, *offsets: Tuple[int, int]) -> "TileKind":
         kind = object.__new__(cls)
-        kind._value_ = name
+        kind._value_ = kind.label = name
         kind.index = index
         kind.offsets = (ORIGIN,) + tuple(LatticePoint(*o) for o in offsets)
         return kind
@@ -269,12 +274,12 @@ def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
             return None
         name = "TRIBONE_MEMO_LIMIT_MB"
     try:
-        limit = float(memo_limit_mb) * 1024 * 1024
-    except ValueError:
+        limit = float(memo_limit_mb) * 1024 * 1024  # an int past float range overflows
+    except (TypeError, ValueError, OverflowError):
         limit = math.nan
     # int() raises on nan and infinities; a negative cap is bad input, not a
-    # cap that every sweep exceeds
-    if not math.isfinite(limit) or limit < 0:
+    # cap that every sweep exceeds; a bool is no size
+    if not math.isfinite(limit) or limit < 0 or isinstance(memo_limit_mb, bool):
         raise ResourceLimit(f"bad {name} value {memo_limit_mb!r}")
     return int(limit)
 
@@ -290,6 +295,29 @@ def _check_cap(i: int, n: int, states: int, limit: int, kept: bool) -> None:
         )
 
 
+# _LOWEST_CLEAR[m] is the index of the lowest clear bit of m for m < 4096,
+# and 12 when all twelve bits are set: then the bit lies further up.
+_LOWEST_CLEAR = bytes((~m & (m + 1)).bit_length() - 1 for m in range(4096))
+
+
+class _Fits(dict):
+    """One cell's moves that fit, by window pattern: maps mask & used, the
+    covered cells among those its moves touch, to the tuple of its move
+    masks clear of them, in table order.  Filled per pattern on first
+    sight, since most cells of a small count meet only a few patterns."""
+
+    def __init__(self, moves: List[int]) -> None:
+        super().__init__()
+        self.moves = moves
+        self.used = 0
+        for bits in moves:
+            self.used |= bits
+
+    def __missing__(self, pattern: int) -> Tuple[int, ...]:
+        fits = self[pattern] = tuple([bits for bits in self.moves if not pattern & bits])
+        return fits
+
+
 def _sweep(
     table: List[List[Tuple[int, int]]], limit: Optional[int], keep: bool
 ) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]]]:
@@ -298,13 +326,15 @@ def _sweep(
     state at cell i to its count of partial tilings, None where no state
     arose) and each cell's move masks.  Without keep a bucket is dropped
     once popped, so only bucket n is left; with keep every bucket stays,
-    and the cap is charged for all of them."""
+    and the cap is charged for all of them.  Each state tries only the
+    moves that fit, looked up by the pattern of covered cells they touch."""
     n = len(table)
     moves = [[bits for _rank, bits in ms] for ms in table]
     reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
     held = 0  # states of the popped buckets still held
+    low = _LOWEST_CLEAR
     for i in range(n):
         layer = buckets[i]
         if layer is None:
@@ -314,12 +344,14 @@ def _sweep(
         else:
             buckets[i] = None
             held = len(layer)
+        fits = _Fits(moves[i])
+        used = fits.used
         for mask, count in layer.items():
-            for bits in moves[i]:
-                if mask & bits:
-                    continue
+            for bits in fits[mask & used]:
                 m = mask | bits
-                j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+                j = low[m & 4095]
+                if j == 12:
+                    j = (~m & (m + 1)).bit_length() - 1
                 m >>= j
                 nxt = buckets[i + j]
                 if nxt is None:
@@ -383,6 +415,7 @@ def _frequency_table(
     # tilings into a child with G completions lies in F * G tilings.
     buckets[n] = {0: 1}
     held = sum(len(b) for b in buckets if b is not None)  # states the list holds
+    low = _LOWEST_CLEAR
     for i in range(n - 1, -1, -1):
         layer = buckets[i]
         if layer is None:
@@ -396,7 +429,9 @@ def _frequency_table(
                 if mask & bits:
                     continue
                 m = mask | bits
-                j = (~m & (m + 1)).bit_length() - 1  # lowest clear bit
+                j = low[m & 4095]
+                if j == 12:
+                    j = (~m & (m + 1)).bit_length() - 1
                 c = buckets[i + j].get(m >> j)
                 if c:
                     g += c
@@ -571,7 +606,7 @@ def tiling_to_json(t: Tiling) -> dict:
 
 def _tiles_to_json(t: Tiling) -> list:
     """The "tiles" list of tiling_to_json(t)."""
-    return [{"kind": p.kind.value, "anchor": [p.anchor.x, p.anchor.y]} for p in t.placements]
+    return [{"kind": p.kind.label, "anchor": [p.anchor.x, p.anchor.y]} for p in t.placements]
 
 
 def tiling_from_json(obj: object) -> Tiling:

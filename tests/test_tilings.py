@@ -74,6 +74,7 @@ def test_kind_data():
     assert [k.index for k in TileKind] == list(range(5))
     for kind in TileKind:
         assert KIND_BY_NAME[kind.value] is kind
+        assert kind.label == kind.value
         assert kind.offsets[0] == (0, 0) == min(kind.offsets)
         assert len(set(kind.offsets)) == 3
     assert len(KIND_BY_NAME) == 5
@@ -303,6 +304,64 @@ def test_resource_limit_says_where_it_stopped():
         count_tilings(benzel(BenzelParams(12, 15)), BONES, memo_limit_mb=0.01)
 
 
+def test_resource_limit_messages_are_pinned():
+    with pytest.raises(ResourceLimit) as err:
+        count_tilings(benzel(BenzelParams(12, 15)), BONES, memo_limit_mb=0.1)
+    assert str(err.value).startswith("counting stopped at cell 31 of 162: 1069 live states")
+    with pytest.raises(ResourceLimit) as err:
+        count_tilings(triangle(14), STONES_AND_BONES, memo_limit_mb=1)
+    assert "cell 11 of 105: 15664 live states" in str(err.value)
+
+
+def _plain_sweep(table):
+    """The forward sweep with keep, written plainly: every state tests each
+    move of its cell, and the lowest clear bit comes from the bit trick
+    alone.  Also returns how many moves led ahead by 12 cells or more."""
+    n = len(table)
+    moves = [[bits for _rank, bits in ms] for ms in table]
+    buckets = [None] * (n + 1)
+    buckets[0] = {0: 1}
+    far = 0
+    for i in range(n):
+        if buckets[i] is None:
+            continue
+        for mask, count in buckets[i].items():
+            for bits in moves[i]:
+                if mask & bits:
+                    continue
+                m = mask | bits
+                j = (~m & (m + 1)).bit_length() - 1
+                far += j >= 12
+                nxt = buckets[i + j]
+                if nxt is None:
+                    nxt = buckets[i + j] = {}
+                nxt[m >> j] = nxt.get(m >> j, 0) + count
+    return buckets, moves, far
+
+
+def test_sweep_matches_the_plain_sweep():
+    # The sweep looks up the moves that fit by window pattern and reads the
+    # lowest clear bit from a 12-bit table; every bucket must come out as
+    # from the plain loop, including the moves that jump 12 or more cells.
+    cases = [
+        (benzel(BenzelParams(9, 9)), STONES_AND_BONES),
+        (benzel(BenzelParams(12, 12)), STONES_AND_BONES),
+        (benzel(BenzelParams(12, 15)), BONES),
+        (triangle(8), STONES_AND_BONES),
+        (_rotated_and_translated(triangle(8))[1], STONES_AND_BONES),
+        (_rotated_and_translated(benzel(BenzelParams(9, 9)))[3], STONES_AND_BONES),
+    ]
+    far = []
+    for r, tileset in cases:
+        table = _move_table(r, tileset, _counting_order)[1]
+        expected, expected_moves, jumps = _plain_sweep(table)
+        buckets, moves = _sweep(table, None, keep=True)
+        assert buckets == expected, (len(r), tileset)
+        assert moves == expected_moves
+        far.append(jumps)
+    assert far[:3] == [21, 1488, 90]
+
+
 def test_memo_cap_env_var(monkeypatch):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "0.001")
     with pytest.raises(ResourceLimit):
@@ -344,6 +403,19 @@ def test_negative_memo_limit(value):
         count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
     with pytest.raises(ResourceLimit, match="bad memo_limit_mb value"):
         _fresh_frequency(value)
+
+
+@pytest.mark.parametrize("value", [[1], 1j, 10**400, True, False], ids=["list", "complex", "10**400", "True", "False"])
+def test_memo_limit_of_the_wrong_type(value):
+    # Each is bad input worded like a negative cap: not a bare TypeError
+    # or OverflowError, and a bool is no size even though it is an int.
+    message = f"bad memo_limit_mb value {value!r}"
+    with pytest.raises(ResourceLimit) as err:
+        count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
+    assert str(err.value) == message
+    with pytest.raises(ResourceLimit) as err:
+        _fresh_frequency(value)
+    assert str(err.value) == message
 
 
 def test_negative_memo_limit_env_var(monkeypatch):
@@ -498,6 +570,20 @@ def test_tiling_json_roundtrip():
     assert again.placements == t.placements
     kinds = [e["kind"] for e in doc["tiles"]]
     assert kinds == sorted(kinds, key=[k.value for k in TileKind].index)
+
+
+def test_tiling_json_reads_kind_labels(monkeypatch):
+    # The writer names each tile by its kind's plain label attribute, never
+    # through the Enum.value property, and the text stays the same.
+    r = benzel(BenzelParams(5, 7))
+    t = next(t for t in enumerate_tilings(r, STONES_AND_BONES) if len({p.kind for p in t.placements}) == 5)
+    expected = [{"kind": p.kind.value, "anchor": [p.anchor.x, p.anchor.y]} for p in t.placements]
+    monkeypatch.setattr(TileKind, "value", property(lambda kind: 1 / 0), raising=False)
+    assert tiling_to_json(t)["tiles"] == expected
+    assert json.dumps(tiling_to_json(t)["tiles"][-3:]) == (
+        '[{"kind": "boneCA", "anchor": [-3, -4]}, {"kind": "stoneR", "anchor": [-4, -3]}, '
+        '{"kind": "stoneL", "anchor": [2, 0]}]'
+    )
 
 
 def test_tiling_json_rejects_bad_input():
