@@ -405,7 +405,9 @@ def test_negative_memo_limit(value):
         _fresh_frequency(value)
 
 
-@pytest.mark.parametrize("value", [[1], 1j, 10**400, True, False], ids=["list", "complex", "10**400", "True", "False"])
+@pytest.mark.parametrize(
+    "value", [[1], 1j, 10**400, True, False], ids=["list", "complex", "10**400", "True", "False"]
+)
 def test_memo_limit_of_the_wrong_type(value):
     # Each is bad input worded like a negative cap: not a bare TypeError
     # or OverflowError, and a bool is no size even though it is an int.
@@ -576,7 +578,9 @@ def test_tiling_json_reads_kind_labels(monkeypatch):
     # The writer names each tile by its kind's plain label attribute, never
     # through the Enum.value property, and the text stays the same.
     r = benzel(BenzelParams(5, 7))
-    t = next(t for t in enumerate_tilings(r, STONES_AND_BONES) if len({p.kind for p in t.placements}) == 5)
+    t = next(
+        t for t in enumerate_tilings(r, STONES_AND_BONES) if len({p.kind for p in t.placements}) == 5
+    )
     expected = [{"kind": p.kind.value, "anchor": [p.anchor.x, p.anchor.y]} for p in t.placements]
     monkeypatch.setattr(TileKind, "value", property(lambda kind: 1 / 0), raising=False)
     assert tiling_to_json(t)["tiles"] == expected
