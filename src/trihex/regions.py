@@ -8,8 +8,9 @@ centers, which are the class--1 lattice points.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import (
     EmptyRegion,
@@ -182,6 +183,13 @@ def triangle(n: int) -> Region:
 
 _STEP_FOR_VECTOR = {s.vector: s for s in Step}
 _Pair = Tuple[int, int]
+_Run = Tuple[int, int]
+
+# Edge i of a cell in row terms: the cell across it lies du = 2ax - ay rows
+# on (3, 0 or -3) and ay further in y; then the offsets of its tail and head.
+_ROW_EDGES = tuple(
+    (2 * ax - ay, ay, tx, ty, hx, hy) for tx, ty, hx, hy, ax, ay in _CELL_EDGES
+)
 
 
 def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
@@ -189,24 +197,44 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
     starting at the lexicographically smallest vertex.  The work is done
     on plain (x, y) integer pairs; only the ring returned is made of points.
 
-    Edge i of a cell (corner i to corner i + 1) is on the boundary exactly
-    when the cell across it is not in the set.  Every vertex of the hexagon
-    graph has degree 3, so a boundary vertex has one boundary edge in and
-    one out, and the boundary edges form disjoint cycles: a counterclockwise
-    outline for each edge-connected piece of the set and a clockwise cycle
-    around each hole.  The smallest vertex lies on an outline.  Raises
+    Cells are grouped into rows u = 2x - y, where they sit two apart in y,
+    and each row into maximal runs.  Edge i of a cell (corner i to corner
+    i + 1) is on the boundary exactly when the cell across it is not in the
+    set; that cell lies in the same row (edges 1 and 4, y + 2 and y - 2) or
+    in row u + 3 (edges 0 and 5) or u - 3 (edges 2 and 3), at y + 1 or
+    y - 1.  So each edge's boundary cells are a row's runs less the runs of
+    the row across, shifted, and the work grows with the rows and the
+    boundary edges, not with the cells.  Cells of different classes lie in
+    rows of different residues mod 3 and never neighbour.
+
+    Every vertex of the hexagon graph has degree 3, so a boundary vertex has
+    one boundary edge in and one out, and the boundary edges form disjoint
+    cycles: a counterclockwise outline for each edge-connected piece of the
+    set and a clockwise cycle around each hole.  Only cells of different
+    classes, whose hexagons overlap, can give a vertex two boundary edges
+    out; then NotSimplyConnected("boundary pinches at vertex v") names the
+    smallest such v.  The smallest vertex lies on an outline.  Raises
     NotSimplyConnected unless that outline is the only cycle: "not
     edge-connected" when another cycle runs counterclockwise, and "not a
     single closed curve" when every other cycle goes round a hole.
     """
-    succ: Dict[_Pair, _Pair] = {}
+    rows: Dict[int, List[int]] = defaultdict(list)
     for x, y in cells:
-        for tx, ty, hx, hy, ax, ay in _CELL_EDGES:
-            if (x + ax, y + ay) not in cells:
-                v = (x + tx, y + ty)
-                if v in succ:
-                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
-                succ[v] = (x + hx, y + hy)
+        rows[2 * x - y].append(y)
+    runs = {u: _runs(ys) for u, ys in rows.items()}
+    succ: Dict[_Pair, _Pair] = {}
+    pinched = []
+    for u, row in runs.items():
+        for du, ay, tx, ty, hx, hy in _ROW_EDGES:
+            for lo, hi in _uncovered(row, runs.get(u + du, ()), ay):
+                for y in range(lo, hi + 1, 2):
+                    x = (u + y) >> 1
+                    v = (x + tx, y + ty)
+                    if v in succ:
+                        pinched.append(v)
+                    succ[v] = (x + hx, y + hy)
+    if pinched:
+        raise NotSimplyConnected(f"boundary pinches at vertex {min(pinched)}")
     ring = _cycle(succ, min(succ))
     if len(ring) == len(succ):
         return list(map(LatticePoint._make, ring))
@@ -217,6 +245,44 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
         if sum(x * succ[x, y][1] - succ[x, y][0] * y for x, y in other) > 0:
             raise NotSimplyConnected("region cells are not edge-connected")
     raise NotSimplyConnected("region boundary is not a single closed curve")
+
+
+def _runs(ys: List[int]) -> List[_Run]:
+    """The maximal runs (first y, last y) of a row's distinct y values, two
+    apart within a run.  A row that spans 2 * (len(ys) - 1) is one run and
+    is not sorted; any other is sorted in place and split."""
+    lo, last = min(ys), max(ys)
+    if last - lo == 2 * (len(ys) - 1):
+        return [(lo, last)]
+    ys.sort()
+    out = []
+    for a, b in zip(ys, ys[1:]):
+        if b - a > 2:
+            out.append((lo, a))
+            lo = b
+    out.append((lo, last))
+    return out
+
+
+def _uncovered(row: List[_Run], other: Sequence[_Run], d: int) -> List[_Run]:
+    """The runs of the y in row for which y + d is in none of other's runs:
+    a two-pointer difference of row and other shifted by -d, both sorted
+    lists of disjoint runs in steps of 2 (d keeps their parities equal)."""
+    out = []
+    j, m = 0, len(other)
+    for lo, hi in row:
+        while j < m and other[j][1] - d < lo:
+            j += 1
+        y = lo
+        k = j
+        while k < m and other[k][0] - d <= hi:
+            if other[k][0] - d > y:
+                out.append((y, other[k][0] - d - 2))
+            y = other[k][1] - d + 2
+            k += 1
+        if y <= hi:
+            out.append((y, hi))
+    return out
 
 
 def _cycle(succ: Dict[_Pair, _Pair], start: _Pair) -> List[_Pair]:

@@ -109,6 +109,11 @@ def test_word_rotation_keeps_the_loop():
     assert w.rotated(len(w)) == w
 
 
+def test_rotating_the_empty_word_returns_it():
+    w = Word((), LatticePoint(2, -1))
+    assert w.rotated(3) is w
+
+
 def test_signed_area_unit_hexagon():
     # Counterclockwise around the cell at (-2, -2): area +1; reverse: -1.
     w = word_from_string("b a' c b' a c'", LatticePoint(-1, -2))

@@ -6,6 +6,7 @@ import itertools
 from collections import OrderedDict
 from enum import IntEnum
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,11 @@ from trihex.hexlattice import (
     signed_area,
     step_for,
 )
+from trihex.pentagonal import pentagonal_benzel
 from trihex.regions import (
+    BenzelParams,
     Region,
+    benzel,
     boundary_cycle,
     cyclically_equal,
     despur,
@@ -34,6 +38,7 @@ from trihex.regions import (
     region_from_json,
     region_to_json,
     trace_boundary,
+    triangle,
 )
 from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
 from trihex.tilings import (
@@ -310,8 +315,9 @@ def test_trace_boundary_on_grown_regions(picks, removals, far_picks, shift):
         assert signed_area(w) == len(r)
 
 
-# The LatticePoint version of boundary_cycle, kept as the reference that
-# the integer version must match ring for ring and message for message.
+# The LatticePoint version of boundary_cycle, which probes all six
+# neighbours of every cell, kept as the reference that the row-run version
+# must match ring for ring and message for message.
 _REFERENCE_CORNERS = (
     LatticePoint(1, 0),
     LatticePoint(1, 1),
@@ -328,13 +334,16 @@ _REFERENCE_EDGES = tuple(
 
 def _reference_boundary_cycle(cells):
     succ = {}
+    pinched = []
     for c in cells:
         for tail, head, across in _REFERENCE_EDGES:
             if c + across not in cells:
                 v = c + tail
                 if v in succ:
-                    raise NotSimplyConnected(f"boundary pinches at vertex {v}")
+                    pinched.append(v)
                 succ[v] = c + head
+    if pinched:
+        raise NotSimplyConnected(f"boundary pinches at vertex {min(pinched)}")
     ring = _reference_cycle(succ, min(succ))
     if len(ring) == len(succ):
         return ring
@@ -398,6 +407,95 @@ def test_boundary_cycle_matches_the_reference(
     assert mine == _boundary_outcome(_reference_boundary_cycle, cells)
     if isinstance(mine, list):
         assert all(type(v) is LatticePoint for v in mine)
+
+
+def _copies(cells):
+    """The cells in their three 120-degree rotations, then translated by a
+    vector of class 0, which moves the rows and keeps every class."""
+    out = []
+    for _ in range(3):
+        out.append(frozenset(cells))
+        cells = [rotate120(c) for c in cells]
+    out.append(frozenset(LatticePoint(c.x + 5, c.y - 2) for c in out[0]))
+    return out
+
+
+def _ring_matches_the_reference(cells):
+    ring = boundary_cycle(cells)
+    assert ring == _reference_boundary_cycle(cells)
+    assert all(type(v) is LatticePoint for v in ring)
+
+
+def test_boundary_cycle_matches_the_reference_on_large_regions():
+    for a in range(2, 15):
+        for b in range(max(2, (a + 1) // 2), min(2 * a, 14) + 1):
+            _ring_matches_the_reference(benzel(BenzelParams(a, b)).cells)
+    for n in range(1, 21):
+        _ring_matches_the_reference(triangle(n).cells)
+    for kind in TileKind:  # class-0 cells about the anchor
+        _ring_matches_the_reference(kind.offsets)
+    for cells in _copies(benzel(pentagonal_benzel(4)).cells):
+        _ring_matches_the_reference(cells)
+
+
+def _rows(cells):
+    """Each row u = 2x - y of the cells as the sorted list of its y."""
+    rows = {}
+    for x, y in cells:
+        rows.setdefault(2 * x - y, []).append(y)
+    return {u: sorted(ys) for u, ys in rows.items()}
+
+
+def _comb():
+    """A spine of 24 cells in one row with teeth of several lengths on both
+    sides: teeth on spine cells 0, 1, 3, 4, 5, 8, ... leave the rows beside
+    the spine with many runs, single cells among them, that end where the
+    next row's runs begin or overlap them at y + 1 or y - 1."""
+    spine = [LatticePoint(-2 + i, -2 + 2 * i) for i in range(24)]
+    cells = set(spine)
+    for i, c in enumerate(spine):
+        for step, length in (((2, 1), (0, 3, 0, 1, 4, 2)[i % 6]), ((-1, 1), (i * 5) % 7 % 4)):
+            for m in range(1, length + 1):
+                cells.add(LatticePoint(c.x + m * step[0], c.y + m * step[1]))
+    return frozenset(cells)
+
+
+def _crenellated():
+    """T(14) with every other cell removed from its two longest rows (the
+    rows of 14 and 13 cells along one side): 7 single-cell runs each, and
+    those of one row meet those of the other at y + 1 and y - 1."""
+    cells = set(triangle(14).cells)
+    rows = _rows(cells)
+    for u in sorted(rows)[:2]:
+        for y in rows[u][1::2]:
+            cells.discard(LatticePoint((u + y) // 2, y))
+    return frozenset(cells)
+
+
+def test_boundary_cycle_matches_the_reference_on_rows_of_many_runs():
+    for shape in (_comb(), _crenellated()):
+        runs = [
+            sum(1 for a, b in zip(ys, ys[1:]) if b - a > 2) + 1
+            for ys in _rows(shape).values()
+        ]
+        assert max(runs) >= 5 and runs.count(1) < len(runs)
+        for cells in _copies(shape):
+            _ring_matches_the_reference(cells)
+    # every other cell of B(6, 7) removed: pieces and holes, one message
+    cells = {c for c in benzel(BenzelParams(6, 7)).cells if c.y % 4 < 2}
+    for f in (boundary_cycle, _reference_boundary_cycle):
+        assert _boundary_outcome(f, frozenset(cells)).startswith("region ")
+
+
+def test_a_pinch_names_its_smallest_vertex():
+    # Cells of the three classes: their hexagons overlap, and the boundary
+    # pinches at (-1, -1), (0, -1), (0, 0), (0, 1) and (1, 1).
+    cells = (LatticePoint(-1, 0), LatticePoint(0, 0), LatticePoint(1, 0))
+    for order in itertools.permutations(cells):
+        for f in (boundary_cycle, _reference_boundary_cycle):
+            with pytest.raises(NotSimplyConnected) as e:
+                f(order)
+            assert str(e.value) == "boundary pinches at vertex (-1, -1)"
 
 
 # -- the JSON readers against a per-entry reference ----------------------------

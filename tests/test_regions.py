@@ -248,6 +248,14 @@ def test_cyclic_equality():
     assert not cyclically_equal(u, v)
 
 
+def test_cyclic_equality_of_different_lengths_and_empty_words():
+    u = word_from_string("b a' c b' a c'")
+    assert not cyclically_equal(u, word_from_string("a b c a' b' c' a a'"))
+    empty = word_from_string("", LatticePoint(1, 1))
+    assert cyclically_equal(empty, word_from_string("", LatticePoint(1, 1)))
+    assert not cyclically_equal(empty, word_from_string("", LatticePoint(-1, 2)))
+
+
 def test_region_json_roundtrip():
     r = benzel(BenzelParams(4, 5))
     assert region_from_json(region_to_json(r)).cells == r.cells
