@@ -55,8 +55,8 @@ def _fmt(v: float) -> str:
 
 
 # Each kind's outline about an anchor at the origin, by TileKind.index.
-# boundary_cycle only adds and compares offsets, so translating this ring
-# by a placement's anchor gives that tile's outline, still starting at its
+# boundary_cycle commutes with translation, so translating this ring by a
+# placement's anchor gives that tile's outline, still starting at its
 # smallest vertex.
 _TILE_RINGS = [boundary_cycle(kind.offsets) for kind in TileKind]
 

@@ -447,16 +447,15 @@ def _rows(cells):
 
 
 def _comb():
-    """A spine of 24 cells in one row with teeth of several lengths on both
-    sides: teeth on spine cells 0, 1, 3, 4, 5, 8, ... leave the rows beside
-    the spine with many runs, single cells among them, that end where the
-    next row's runs begin or overlap them at y + 1 or y - 1."""
+    """A spine of 24 cells in one row with teeth on both sides, of lengths
+    0 to 4 in a fixed pattern: the rows beside the spine hold many runs,
+    single cells among them, that end where the next row's runs begin or
+    overlap them at y + 1 or y - 1."""
     spine = [LatticePoint(-2 + i, -2 + 2 * i) for i in range(24)]
     cells = set(spine)
-    for i, c in enumerate(spine):
-        for step, length in (((2, 1), (0, 3, 0, 1, 4, 2)[i % 6]), ((-1, 1), (i * 5) % 7 % 4)):
-            for m in range(1, length + 1):
-                cells.add(LatticePoint(c.x + m * step[0], c.y + m * step[1]))
+    for i, (x, y) in enumerate(spine):
+        for (dx, dy), length in (((2, 1), (0, 3, 0, 1, 4, 2)[i % 6]), ((-1, 1), i * 5 % 7 % 4)):
+            cells.update(LatticePoint(x + m * dx, y + m * dy) for m in range(1, length + 1))
     return frozenset(cells)
 
 
