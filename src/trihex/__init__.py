@@ -22,32 +22,14 @@ from .errors import (
     ShadowNotClosed,
     TrihexError,
 )
-from .hexlattice import (
-    ORIGIN,
-    LatticePoint,
-    Step,
-    Word,
-    class_of,
-    cross,
-    rotate120,
-    signed_area,
-    step_for,
-    winding_number,
-    winding_numbers,
-    word_from_string,
-    word_from_tokens,
-)
+from .hexlattice import LatticePoint, Step, rotate120, signed_area, winding_numbers
 from .regions import (
     BenzelParams,
     Region,
     benzel,
     boundary_word_closed_form,
-    bounding_hexagon,
-    cell_corners,
-    cyclically_equal,
     despur,
     find_spurs,
-    region_from_cells,
     region_from_json,
     region_to_json,
     trace_boundary,
@@ -58,23 +40,18 @@ from .regions import (
 from .shadow import (
     ALL_SEEDS,
     DEFAULT_SEED,
-    InvariantValue,
-    StepKind,
     area_formula,
     cl_invariant_formula,
     cl_invariant_path,
-    classify_steps,
     is_pentagonal_pair,
     shadow_word,
 )
 from .tilings import (
     BONES,
-    STONES,
     STONES_AND_BONES,
     Placement,
     TileKind,
     Tiling,
-    cells_of,
     count_tilings,
     enumerate_tilings,
     orientation_histogram,
@@ -85,14 +62,7 @@ from .tilings import (
     tiling_to_json,
     validate,
 )
-from .pentagonal import (
-    Sector,
-    SectorPaths,
-    construct_tiling,
-    pentagonal_benzel,
-    sector_cells,
-    sector_paths,
-)
+from .pentagonal import construct_tiling, pentagonal_benzel
 from .render import RenderSpec, render_svg
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -186,6 +187,9 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         return 0
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise TrihexError(f"--limit must be 0 or more, got {args.limit}")
+    memo = getattr(args, "memo_limit_mb", None)
+    if memo is not None and not (math.isfinite(memo) and memo >= 0):
+        raise TrihexError(f"--memo-limit-mb must be finite and 0 or more, got {memo}")
     region = _resolve(args)[0]
     tileset = _TILESETS[args.tiles]
     if args.tile_cmd == "count":

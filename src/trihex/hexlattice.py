@@ -37,9 +37,6 @@ class LatticePoint(NamedTuple):
     def __neg__(self) -> "LatticePoint":
         return LatticePoint(-self.x, -self.y)
 
-    def scaled(self, k: int) -> "LatticePoint":
-        return LatticePoint(k * self.x, k * self.y)
-
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
 
@@ -107,11 +104,6 @@ del _step
 _STEP_BY_TOKEN = {s.value: s for s in Step}
 
 
-def step_for(letter: str, primed: bool) -> Step:
-    """The step with the given base letter and sign."""
-    return _STEP_BY_TOKEN[letter + ("'" if primed else "")]
-
-
 @dataclass(frozen=True)
 class Word:
     """A lattice path: a sequence of unit steps from a basepoint.
@@ -141,13 +133,6 @@ class Word:
         for s in self.steps:
             out.append(out[-1] + s.vector)
         return out
-
-    def rotated(self, k: int) -> "Word":
-        """Cyclic rotation: the same closed loop started k steps later."""
-        if not self.steps:
-            return self
-        k %= len(self.steps)
-        return Word(self.steps[k:] + self.steps[:k], self.vertices()[k])
 
     def tokens(self) -> List[str]:
         return [s.value for s in self.steps]
@@ -191,10 +176,11 @@ def winding_numbers(
 ) -> "dict[LatticePoint, int]":
     """Winding numbers of a closed word around many cell centers at once.
 
-    Same contract as winding_number, but one pass over the path: every
-    step changes the doubled y-coordinate by 0 or +-1, so each horizontal
-    crossing happens exactly at a path vertex, and per-level sorted
-    crossing lists answer all queries by suffix sums.
+    Each cell center must have class -1 (NotACellCenter otherwise); path
+    vertices have class 0 or 1, so a center never lies on the path.  One
+    pass over the path: every step changes the doubled y-coordinate by 0
+    or +-1, so each horizontal crossing happens exactly at a path vertex,
+    and per-level sorted crossing lists answer all queries by suffix sums.
     """
     vs = w.vertices()
     if vs[-1] != vs[0]:
@@ -231,30 +217,5 @@ def winding_numbers(
 
 def _doubled(p: LatticePoint) -> Tuple[int, int]:
     # (2x - y, y) is a positively-oriented integer image of the Cartesian
-    # embedding, so ray-crossing tests below are exact.
+    # embedding, so the ray-crossing tests are exact.
     return (2 * p.x - p.y, p.y)
-
-
-def winding_number(w: Word, cell: LatticePoint) -> int:
-    """Winding number of a closed word around the given cell center.
-
-    The cell center must have class -1; path vertices have class 0 or 1,
-    so the center can never lie on the path and every crossing test is a
-    strict integer comparison.
-    """
-    if class_of(cell) != -1:
-        raise NotACellCenter(f"{cell} has class {class_of(cell)}, not -1")
-    vs = w.vertices()
-    if vs[-1] != vs[0]:
-        raise NotClosed("winding number requires a closed word")
-    ps = list(map(_doubled, vs))
-    cx, cy = _doubled(cell)
-    wn = 0
-    for (px, py), (qx, qy) in zip(ps, ps[1:]):
-        if py <= cy:
-            if qy > cy and (qx - px) * (cy - py) - (cx - px) * (qy - py) > 0:
-                wn += 1
-        else:
-            if qy <= cy and (qx - px) * (cy - py) - (cx - px) * (qy - py) < 0:
-                wn -= 1
-    return wn

@@ -9,7 +9,6 @@ same bones turned by 120 and 240 degrees tile the other two sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import ConstructionFailed, InvalidParams
@@ -17,35 +16,15 @@ from .hexlattice import (
     ORIGIN,
     LatticePoint,
     Word,
-    rotate120,
     signed_area,
     word_from_string,
 )
-from .regions import _CELL_EDGES, BenzelParams, Region, benzel, despur
+from .regions import _CELL_EDGES, BenzelParams, benzel, despur
 from .tilings import BONES, Tiling, _unchecked
 
 # The center of the cell on the left of each step, as an offset from the
 # step's tail: edge i of a cell runs counterclockwise round it.
 _LEFT_CELL = {(hx - tx, hy - ty): (-tx, -ty) for tx, ty, hx, hy, _, _ in _CELL_EDGES}
-
-
-@dataclass(frozen=True)
-class SectorPaths:
-    """The two paths from the origin to the upper-right corner of the
-    bounding hexagon: P1 goes by way of the right corner and P2 by way of
-    the upper-left corner."""
-
-    P1: Word
-    P2: Word
-
-
-@dataclass(frozen=True)
-class Sector:
-    """One third of a pentagonal benzel: the cells between P1 and P2,
-    rotated by 120 * rotation degrees."""
-
-    cells: Region
-    rotation: int
 
 
 def pentagonal_benzel(k: int) -> BenzelParams:
@@ -57,8 +36,10 @@ def pentagonal_benzel(k: int) -> BenzelParams:
     return BenzelParams(k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
 
 
-def sector_paths(k: int) -> SectorPaths:
-    """The boundary paths of sector 0.
+def sector_paths(k: int) -> Tuple[Word, Word]:
+    """The boundary paths (P1, P2) of sector 0, from the origin to the
+    upper-right corner of the bounding hexagon: P1 goes by way of the right
+    corner and P2 by way of the upper-left corner.
 
     P1's spine alternates ever-longer zigzag blocks (a c' a b')^j (a c')
     for j < k, reaching the right corner -a*omega - b*omega^2 = (b, b-a);
@@ -80,11 +61,11 @@ def sector_paths(k: int) -> SectorPaths:
         )
     p1 += ["b", "a'", "b", "c'"] * s
     p2 += ["a", "b'", "a", "c'"] * t
-    paths = SectorPaths(word_from_string(" ".join(p1)), word_from_string(" ".join(p2)))
+    w1, w2 = word_from_string(" ".join(p1)), word_from_string(" ".join(p2))
     corner = LatticePoint(p.b, p.a)
-    if paths.P1.displacement() != corner or paths.P2.displacement() != corner:
+    if w1.displacement() != corner or w2.displacement() != corner:
         raise ConstructionFailed("sector paths do not meet at the upper-right corner")
-    return paths
+    return w1, w2
 
 
 def _sector0_runs(k: int) -> List[Tuple[int, int, int]]:
@@ -98,9 +79,9 @@ def _sector0_runs(k: int) -> List[Tuple[int, int, int]]:
     outline's area (a diagonal holding two runs), mean the sector geometry
     is wrong, which is a bug rather than bad input.
     """
-    paths = sector_paths(k)
-    back = tuple(s.inverse for s in reversed(paths.P2.steps))
-    outline = despur(Word(paths.P1.steps + back, ORIGIN))
+    p1, p2 = sector_paths(k)
+    back = tuple(s.inverse for s in reversed(p2.steps))
+    outline = despur(Word(p1.steps + back, ORIGIN))
     xs: Dict[int, List[int]] = {}
     for v, s in zip(outline.vertices(), outline.steps):
         dx, dy = _LEFT_CELL[s.vector]
@@ -115,17 +96,6 @@ def _sector0_runs(k: int) -> List[Tuple[int, int, int]]:
     if total != area:
         raise ConstructionFailed(f"sector runs hold {total} cells, not the area {area}")
     return runs
-
-
-def sector_cells(k: int, r: int) -> Sector:
-    """Sector r of the pentagonal benzel; the three sectors partition it."""
-    if type(r) is not int or r not in (0, 1, 2):
-        raise InvalidParams(f"rotation index must be 0, 1, or 2, got {r!r}")
-    runs = _sector0_runs(k)
-    cells = [LatticePoint(x, c - x) for c, lo, hi in runs for x in range(lo, hi + 1)]
-    for _ in range(r):
-        cells = [rotate120(p) for p in cells]
-    return Sector(Region(frozenset(cells)), r)
 
 
 def construct_tiling(k: int) -> Tiling:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import (
     EmptyRegion,
@@ -27,16 +27,6 @@ from .hexlattice import (
     class_of,
     word_from_string,
     word_from_tokens,
-)
-
-# Center offsets between edge-adjacent cells.
-CELL_NEIGHBOR_OFFSETS = (
-    LatticePoint(1, -1),
-    LatticePoint(1, 2),
-    LatticePoint(2, 1),
-    LatticePoint(-1, 1),
-    LatticePoint(-1, -2),
-    LatticePoint(-2, -1),
 )
 
 # Corners of the hexagon centered at a class--1 point, counterclockwise
@@ -76,13 +66,6 @@ class Region:
 
     def __contains__(self, cell: LatticePoint) -> bool:
         return cell in self.cells
-
-    def sorted_cells(self) -> List[LatticePoint]:
-        return sorted(self.cells)
-
-
-def region_from_cells(cells: Iterable[Tuple[int, int]]) -> Region:
-    return Region(frozenset(LatticePoint(x, y) for x, y in cells))
 
 
 @dataclass(frozen=True)
@@ -139,11 +122,6 @@ def bounding_hexagon(p: BenzelParams) -> Tuple[LatticePoint, ...]:
 
 def rightmost_corner(p: BenzelParams) -> LatticePoint:
     return LatticePoint(p.b, p.b - p.a)
-
-
-def cell_corners(center: LatticePoint) -> Tuple[LatticePoint, ...]:
-    """The six corner vertices of the cell, counterclockwise from center+1."""
-    return tuple(center + d for d in _CORNER_OFFSETS)
 
 
 def benzel(p: BenzelParams) -> Region:
@@ -392,33 +370,12 @@ def despur(w: Word) -> Word:
     return Word(tuple(steps[i : j + 1]), base)
 
 
-def cyclically_equal(u: Word, v: Word) -> bool:
-    """Whether two closed words trace the same directed edge cycle.
-
-    Compares the directed edge sequences up to cyclic rotation, so the
-    basepoints may differ as long as both lie on the common cycle.
-    """
-    if len(u.steps) != len(v.steps):
-        return False
-    n = len(u.steps)
-    if n == 0:
-        return u.basepoint == v.basepoint
-    verts_u, verts_v = u.vertices(), v.vertices()
-    edges_u = list(zip(verts_u, verts_u[1:]))
-    edges_v = list(zip(verts_v, verts_v[1:]))
-    for k in range(n):
-        if edges_v[k] == edges_u[0]:
-            if all(edges_v[(k + i) % n] == edges_u[i] for i in range(n)):
-                return True
-    return False
-
-
 # --- file formats -----------------------------------------------------------
 
 
 def region_to_json(r: Region) -> dict:
     """JSON-ready dict {"cells": [[x, y], ...]} with cells sorted."""
-    return {"cells": [[c.x, c.y] for c in r.sorted_cells()]}
+    return {"cells": [[c.x, c.y] for c in sorted(r.cells)]}
 
 
 def point_from_json(item: object, what: str) -> LatticePoint:

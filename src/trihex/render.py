@@ -117,7 +117,7 @@ def render_svg(
         )
 
     if region is not None and spec.show_cells:
-        cells = region.sorted_cells()
+        cells = sorted(region.cells)
         # Fill the tables, then one f-string per cell; its corners as (du, dy)
         # are (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1).
         points(_CORNER_OFFSETS, cells)

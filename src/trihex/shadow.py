@@ -1,18 +1,17 @@
-"""Weave/wind classification, shadow words, and the Conway-Lagarias invariant.
+"""Shadow words and the Conway-Lagarias invariant.
 
-A closed boundary word weaves at a step when the previous and next edges
-are parallel, and winds when the three edges run consecutively around one
-hexagon.  A shadow of the word is a closed path that winds where the word
-weaves and weaves where it winds; its signed area is the unrescaled
-invariant I(R), and I(R) = 3 i(R) where i(R) is the right-minus-left
-stone count common to all stones-and-bones tilings of R.
+A shadow of a closed boundary word is a closed path of equal length that
+winds where the word weaves and weaves where it winds: a word weaves at a
+step when the previous and next edges are parallel, and winds when the
+three edges run consecutively around one hexagon.  The shadow's signed
+area is the unrescaled invariant I(R), and I(R) = 3 i(R) where i(R) is the
+right-minus-left stone count common to all stones-and-bones tilings of R.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import FrozenSet, List, Optional
 
@@ -26,12 +25,6 @@ from .hexlattice import (
     signed_area,
 )
 from .regions import BenzelParams, Region, despur, find_spurs, trace_boundary
-
-
-class StepKind(Enum):
-    WEAVE = "weave"
-    WIND = "wind"
-    SPUR_SITE = "spur"
 
 
 # The first letter of a shadow path picks the shadow: three shadows per
@@ -74,22 +67,6 @@ def _spur_steps(w: Word) -> FrozenSet[int]:
         raise NonIsolatedSpur("spur removal exposed another spur")
     n = len(w.steps)
     return frozenset(spurs).union((i + 1) % n for i in spurs)
-
-
-def classify_steps(w: Word) -> List[StepKind]:
-    """One StepKind per step, cyclically; spur steps get SPUR_SITE and
-    every other step is classified by its nearest non-spur neighbours.
-    Raises NotClosed for an open word."""
-    if not w.is_closed:
-        raise NotClosed("can only classify the steps of a closed word")
-    spur = _spur_steps(w)
-    free = [i for i in range(len(w.steps)) if i not in spur]
-    kinds = [StepKind.SPUR_SITE] * len(w.steps)
-    for j, i in enumerate(free):
-        prev = w.steps[free[j - 1]]
-        nxt = w.steps[free[(j + 1) % len(free)]]
-        kinds[i] = StepKind.WEAVE if prev.letter == nxt.letter else StepKind.WIND
-    return kinds
 
 
 # The face-alternating edge labeling: the label of an edge at a hexagon-

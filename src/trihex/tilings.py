@@ -176,17 +176,20 @@ def _tileset_kinds(tileset: Iterable[TileKind]) -> FrozenSet[TileKind]:
 
 def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
     """All placements of the given kinds lying entirely inside r, in
-    deterministic (kind, anchor) order."""
+    deterministic (kind, anchor) order.  Every anchor is a cell of r, whose
+    class -1 Region has checked, so no placement checks it again."""
     kinds = _tileset_kinds(tileset)
     cells = r.cells
     anchors = sorted(cells)
     out: List[Placement] = []
     for kind in [k for k in TileKind if k in kinds]:
         _, (x1, y1), (x2, y2) = kind.offsets  # the first is (0, 0)
+        fit = []
         for anchor in anchors:
             x, y = anchor
             if (x + x1, y + y1) in cells and (x + x2, y + y2) in cells:
-                out.append(Placement(kind, anchor))
+                fit.append(anchor)
+        out += _unchecked([kind] * len(fit), fit)
     return out
 
 

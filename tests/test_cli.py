@@ -354,9 +354,8 @@ def _tile_on_a_fresh_region(capsys, command, *extra):
 @pytest.mark.parametrize("command", ["count", "freq"])
 def test_non_finite_memo_limit(capsys, command, value):
     code, out, err = _tile_on_a_fresh_region(capsys, command, f"--memo-limit-mb={value}")
-    assert code == 3
-    assert out.strip() == "resource-limit"
-    assert err.startswith("resource-limit: ")
+    assert code == 2 and out == ""
+    assert err == f"error: --memo-limit-mb must be finite and 0 or more, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -413,6 +412,13 @@ def test_render_stdout_is_unchanged(capsys, argv, digest):
          "--search-cap must be 0 or more, got -1"),
         (["tile", "freq", "--benzel", "5,7", "--tiles", "bones",
           "--placement", "boneXY,0,0"], "unknown tile kind 'boneXY'"),
+        *[
+            (["tile", command, "--benzel", "5,7", "--tiles", "bones", *extra,
+              "--memo-limit-mb", value],
+             f"--memo-limit-mb must be finite and 0 or more, got {shown}")
+            for command, extra in [("count", []), ("freq", ["--placement", "boneAB,-1,0"])]
+            for value, shown in [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")]
+        ],
     ],
 )
 def test_input_error_messages(capsys, argv, message):
@@ -570,9 +576,8 @@ def test_render_unit_must_be_positive_and_finite(capsys, unit):
 @pytest.mark.parametrize("command", ["count", "freq"])
 def test_negative_memo_limit(capsys, command):
     code, out, err = _tile_on_a_fresh_region(capsys, command, "--memo-limit-mb=-1")
-    assert code == 3
-    assert out.strip() == "resource-limit"
-    assert err.startswith("resource-limit: bad memo_limit_mb value ")
+    assert code == 2 and out == ""
+    assert err == "error: --memo-limit-mb must be finite and 0 or more, got -1.0\n"
 
 
 @pytest.mark.parametrize("command", ["count", "freq", "enumerate"])

@@ -15,9 +15,9 @@ from trihex.hexlattice import (
     winding_numbers,
 )
 from trihex.pentagonal import (
+    _sector0_runs,
     construct_tiling,
     pentagonal_benzel,
-    sector_cells,
     sector_paths,
 )
 from trihex.regions import benzel, despur
@@ -25,6 +25,7 @@ from trihex.tilings import (
     BONES,
     Placement,
     TileKind,
+    cells_of,
     enumerate_tilings,
     orientation_histogram,
     tiling_to_json,
@@ -46,37 +47,48 @@ def test_pentagonal_benzel_values():
             assert str(e.value) == f"pentagonal construction needs an integer k, got {k!r}"
 
 
+def sector0(k):
+    """The cells of sector 0, from its diagonal runs."""
+    runs = _sector0_runs(k)
+    return frozenset(LatticePoint(x, c - x) for c, lo, hi in runs for x in range(lo, hi + 1))
+
+
 def test_sector_path_endpoints():
     for k in range(2, 21):
         p = pentagonal_benzel(k)
-        paths = sector_paths(k)
+        p1, p2 = sector_paths(k)
         corner = LatticePoint(p.b, p.a)
-        assert paths.P1.displacement() == corner
-        assert paths.P2.displacement() == corner
+        assert p1.displacement() == corner
+        assert p2.displacement() == corner
         # Spine lengths: k blocks of 4j+2 steps, then the 4-step tail units.
         s, t = k * (k - 1) // 2, k * (k + 1) // 2
-        assert len(paths.P1) == sum(4 * j + 2 for j in range(k)) + 4 * s
-        assert len(paths.P2) == sum(4 * j + 2 for j in range(k)) + 4 * t
+        assert len(p1) == sum(4 * j + 2 for j in range(k)) + 4 * s
+        assert len(p2) == sum(4 * j + 2 for j in range(k)) + 4 * t
 
 
 def test_sectors_partition_the_benzel():
-    for k in (2, 3):
+    """Sector 0 turned by 0, 120 and 240 degrees partitions the benzel."""
+    for k in range(2, 13):
         region = benzel(pentagonal_benzel(k))
+        cells = sector0(k)
         seen = set()
-        for r in range(3):
-            cells = sector_cells(k, r).cells.cells
+        for _ in range(3):
             assert len(cells) == len(region) // 3
             assert not (seen & cells)
             seen |= cells
+            cells = frozenset(rotate120(c) for c in cells)
         assert seen == region.cells
 
 
 def test_sector_rotation_relation():
-    base = sector_cells(3, 0).cells.cells
-    assert sector_cells(3, 1).cells.cells == frozenset(rotate120(c) for c in base)
-    for r in (3, -1, 1.0, True):
-        with pytest.raises(InvalidParams):
-            sector_cells(3, r)
+    """The construction's bones of each orientation cover one sector:
+    sector 0 turned by 0, 120 and 240 degrees."""
+    for k in (2, 3, 4):
+        cells = sector0(k)
+        t = construct_tiling(k)
+        for kind in BONES:
+            assert {c for p in t.placements if p.kind is kind for c in cells_of(p)} == cells
+            cells = frozenset(rotate120(c) for c in cells)
 
 
 def test_sector_matches_the_winding_numbers():
@@ -84,11 +96,11 @@ def test_sector_matches_the_winding_numbers():
     P1 followed by P2 reversed winds round once."""
     for k in range(2, 13):
         region = benzel(pentagonal_benzel(k))
-        paths = sector_paths(k)
-        back = tuple(s.inverse for s in reversed(paths.P2.steps))
-        polygon = Word(paths.P1.steps + back, ORIGIN)
+        p1, p2 = sector_paths(k)
+        back = tuple(s.inverse for s in reversed(p2.steps))
+        polygon = Word(p1.steps + back, ORIGIN)
         wn = winding_numbers(polygon, sorted(region.cells))
-        assert sector_cells(k, 0).cells.cells == {c for c, n in wn.items() if n == 1}
+        assert sector0(k) == {c for c, n in wn.items() if n == 1}
         assert signed_area(despur(polygon)) == len(region) // 3
 
 

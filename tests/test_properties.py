@@ -19,12 +19,12 @@ from trihex.errors import (
 )
 from trihex.hexlattice import (
     LatticePoint,
+    Step,
     Word,
     class_of,
     cross,
     rotate120,
     signed_area,
-    step_for,
 )
 from trihex.pentagonal import pentagonal_benzel
 from trihex.regions import (
@@ -32,7 +32,6 @@ from trihex.regions import (
     Region,
     benzel,
     boundary_cycle,
-    cyclically_equal,
     despur,
     find_spurs,
     region_from_json,
@@ -40,7 +39,7 @@ from trihex.regions import (
     trace_boundary,
     triangle,
 )
-from trihex.shadow import StepKind, cl_invariant_path, classify_steps, shadow_word
+from trihex.shadow import cl_invariant_path, shadow_word
 from trihex.tilings import (
     BONES,
     KIND_BY_NAME,
@@ -57,6 +56,8 @@ from trihex.tilings import (
     tiling_from_json,
     tiling_to_json,
 )
+
+from reference import StepKind, classify_steps, cyclically_equal, rotated
 
 _NEIGHBOURS = ((1, -1), (1, 2), (2, 1), (-1, 1), (-1, -2), (-2, -1))
 _KINDS = list(TileKind)
@@ -122,7 +123,7 @@ def _with_spur(w, pos):
     v = w.vertices()[pos]
     used = {w.steps[(pos - 1) % n].letter, w.steps[pos % n].letter}
     letter = next(x for x in "abc" if x not in used)
-    s = step_for(letter, class_of(v) == 1)
+    s = Step(letter + "'" * (class_of(v) == 1))
     return Word(w.steps[:pos] + (s, s.inverse) + w.steps[pos:], w.basepoint)
 
 
@@ -144,7 +145,7 @@ def test_shadow_of_spurred_boundaries(picks, sites, wrap):
     for pos in sorted((k % (len(w.steps) + 1) for k in sites), reverse=True):
         w = _with_spur(w, pos)
     if wrap:  # the first pair now straddles the end of the word
-        w = w.rotated(find_spurs(w)[0] + 1)
+        w = rotated(w, find_spurs(w)[0] + 1)
     spurs = _spur_pair_steps(w)
     shadow = shadow_word(w, w.basepoint)
     assert len(shadow) == len(w)
@@ -161,7 +162,7 @@ def _walk(v, picks):
     """A walk on the hexagon graph from the vertex v, one step per pick."""
     steps = []
     for pick in picks:
-        s = step_for("abc"[pick % 3], class_of(v) == 1)
+        s = Step("abc"[pick % 3] + "'" * (class_of(v) == 1))
         steps.append(s)
         v = v + s.vector
     return steps
@@ -172,7 +173,7 @@ def _there_and_back(v, picks):
     return out + [s.inverse for s in reversed(out)]
 
 
-_HEXAGON = [step_for(x[0], x.endswith("'")) for x in "b a' c b' a c'".split()]
+_HEXAGON = [Step(x) for x in "b a' c b' a c'".split()]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -201,7 +202,7 @@ def test_despur_on_nested_and_wrapping_spurs(walk, at, turn, excursions, wrap):
         w = Word(tuple(steps), LatticePoint(0, 0))
         pos = where % (len(steps) + 1)
         steps[pos:pos] = _there_and_back(w.vertices()[pos], picks)
-    w = Word(tuple(steps), LatticePoint(0, 0)).rotated(wrap)
+    w = rotated(Word(tuple(steps), LatticePoint(0, 0)), wrap)
     assert w.is_closed
     d = despur(w)
     assert find_spurs(d) == []
@@ -209,7 +210,7 @@ def test_despur_on_nested_and_wrapping_spurs(walk, at, turn, excursions, wrap):
     assert d.is_closed and signed_area(d) == signed_area(w)
     assert despur(d) == d
     for k in range(len(w.steps)):
-        assert cyclically_equal(despur(w.rotated(k)), d), k
+        assert cyclically_equal(despur(rotated(w, k)), d), k
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

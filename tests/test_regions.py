@@ -17,17 +17,13 @@ from trihex.hexlattice import (
     word_from_string,
 )
 from trihex.regions import (
-    CELL_NEIGHBOR_OFFSETS,
     BenzelParams,
     Region,
     benzel,
     boundary_word_closed_form,
     bounding_hexagon,
-    cell_corners,
-    cyclically_equal,
     despur,
     find_spurs,
-    region_from_cells,
     region_from_json,
     region_to_json,
     rightmost_corner,
@@ -36,6 +32,13 @@ from trihex.regions import (
     word_from_text,
     word_to_text,
 )
+
+from reference import cell_corners, cyclically_equal, region_from_cells, rotated
+
+# Center offsets between edge-adjacent cells.
+CELL_NEIGHBOR_OFFSETS = [
+    LatticePoint(*d) for d in ((1, -1), (1, 2), (2, 1), (-1, 1), (-1, -2), (-2, -1))
+]
 
 
 def all_valid_params(bound: int):
@@ -243,7 +246,7 @@ def test_despur_handles_wraparound():
 
 def test_cyclic_equality():
     u = word_from_string("b a' c b' a c'", LatticePoint(-1, -2))
-    assert cyclically_equal(u, u.rotated(2))
+    assert cyclically_equal(u, rotated(u, 2))
     v = word_from_string("b a' c b' a c'", LatticePoint(2, 1))
     assert not cyclically_equal(u, v)
 

@@ -15,8 +15,6 @@ from trihex.regions import (
     benzel,
     boundary_cycle,
     bounding_hexagon,
-    cell_corners,
-    region_from_cells,
     trace_boundary,
     triangle,
 )
@@ -42,6 +40,8 @@ from trihex.tilings import (
     cells_of,
     enumerate_tilings,
 )
+
+from reference import cell_corners, region_from_cells
 
 
 def test_embed_unit_lengths():
@@ -117,7 +117,7 @@ def test_construction_renders_are_unchanged():
     # sha256 of each document; any change to the embedding, the number
     # format, the viewBox or the layer order shows here.
     t = construct_tiling(3)
-    cells = t.region.sorted_cells()
+    cells = sorted(t.region.cells)
     half = Region(frozenset(cells[: len(cells) // 2]))
     w = trace_boundary(t.region)
     docs = {
@@ -194,7 +194,7 @@ def _reference_render_svg(
             'stroke-dasharray="4 3" />'
         )
     if region is not None and spec.show_cells:
-        for c in region.sorted_cells():
+        for c in sorted(region.cells):
             elements.append(
                 f'<polygon class="cell" points="{points(cell_corners(c))}" '
                 f'fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
@@ -260,7 +260,7 @@ def _scenes():
         r = _moved(source, turns, shift)
         w = trace_boundary(r)
         t = next(enumerate_tilings(r, STONES_AND_BONES))
-        half = Region(frozenset(r.sorted_cells()[: len(r) // 2]))
+        half = Region(frozenset(sorted(r.cells)[: len(r) // 2]))
         scenes += [
             {"region": r, "boundary": w, "shadow": shadow_word(w, w.basepoint)},
             {"region": r, "hexagon": BenzelParams(4, 5), "show_cells": False},

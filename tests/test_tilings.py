@@ -17,11 +17,9 @@ from trihex.errors import (
 )
 from trihex.hexlattice import LatticePoint, rotate120
 from trihex.regions import (
-    CELL_NEIGHBOR_OFFSETS,
     BenzelParams,
     Region,
     benzel,
-    region_from_cells,
     region_from_json,
     triangle,
 )
@@ -53,7 +51,14 @@ from trihex.tilings import (
     _sweep,
 )
 
+from reference import region_from_cells
+
 ANCHOR = LatticePoint(-2, -2)
+
+# Center offsets between edge-adjacent cells.
+CELL_NEIGHBOR_OFFSETS = [
+    LatticePoint(*d) for d in ((1, -1), (1, 2), (2, 1), (-1, 1), (-1, -2), (-2, -1))
+]
 
 
 def test_cells_of_each_kind():
@@ -80,7 +85,7 @@ def test_kind_data():
     assert len(KIND_BY_NAME) == 5
     for kind in BONES:  # three cells in a row
         _, step, end = kind.offsets
-        assert step in CELL_NEIGHBOR_OFFSETS and end == step.scaled(2)
+        assert step in CELL_NEIGHBOR_OFFSETS and end == step + step
     for kind in STONES:  # three pairwise-adjacent cells
         for u, v in combinations(kind.offsets, 2):
             assert v - u in CELL_NEIGHBOR_OFFSETS
@@ -120,6 +125,11 @@ def test_placements_ordering_and_containment():
     for p in ps:
         assert all(c in r for c in cells_of(p))
     assert placements(region_from_cells([(-2, -2)]), STONES_AND_BONES) == []
+    # placements skips Placement's anchor check; every anchor still passes it.
+    for region in (r, benzel(BenzelParams(5, 7)), triangle(6)):
+        for tileset in (BONES, STONES_AND_BONES):
+            ps = placements(region, tileset)
+            assert ps == [Placement(p.kind, p.anchor) for p in ps]
 
 
 def test_middle_stone_of_the_smallest_benzel():
