@@ -27,6 +27,7 @@ from .regions import (
     BenzelParams,
     Region,
     benzel,
+    boundary_cycle,
     boundary_word_closed_form,
     despur,
     find_spurs,
@@ -48,6 +49,7 @@ from .shadow import (
 )
 from .tilings import (
     BONES,
+    KIND_BY_NAME,
     STONES_AND_BONES,
     Placement,
     TileKind,

@@ -1,5 +1,5 @@
-"""The package's public names: what the benchmark and the README reach
-must resolve, and the package exports exactly the pinned set.
+"""The package's public names: what the benchmark, the CLI and the README
+reach must resolve, and the package exports exactly the pinned set.
 
 perfbench/tracer.py wraps each TARGETS name with getattr on its module, so
 a name missing there fails every traced benchmark run; perfbench/workloads.py
@@ -15,6 +15,7 @@ import types
 from pathlib import Path
 
 import trihex
+import trihex.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +32,7 @@ EXPORTS = {
     "InvalidParams",
     "InvalidPlacement",
     "InvalidTiling",
+    "KIND_BY_NAME",
     "LatticePoint",
     "NonIntegralArea",
     "NonIsolatedSpur",
@@ -49,6 +51,7 @@ EXPORTS = {
     "TrihexError",
     "area_formula",
     "benzel",
+    "boundary_cycle",
     "boundary_word_closed_form",
     "cl_invariant_formula",
     "cl_invariant_path",
@@ -97,6 +100,17 @@ def _readme_imports():
     return names
 
 
+def _cli_imports():
+    tree = ast.parse((ROOT / "src" / "trihex" / "cli.py").read_text())
+    return {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if not alias.name.startswith("_")
+    }
+
+
 def test_tracer_targets_resolve():
     targets = _tracer_targets()
     assert targets
@@ -106,12 +120,17 @@ def test_tracer_targets_resolve():
             assert callable(getattr(module, name, None)), f"trihex.{short}.{name}"
 
 
-def test_benchmark_and_readme_names_are_exported():
+def test_benchmark_cli_readme_and_error_names_are_exported():
     workloads = (ROOT / "perfbench" / "workloads.py").read_text()
     read = set(re.findall(r"\bth\.([A-Za-z_]\w*)", workloads))
     imported = _readme_imports()
-    assert read and imported
-    assert sorted(n for n in read | imported if not hasattr(trihex, n)) == []
+    errors = {
+        name for name, value in vars(trihex.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert read and imported and errors
+    needed = read | imported | _cli_imports() | errors
+    assert sorted(n for n in needed if not hasattr(trihex, n)) == []
 
 
 def test_public_names_are_pinned():
