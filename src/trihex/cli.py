@@ -10,14 +10,14 @@ the estimated bytes of its live states; `tile freq` runs that sweep
 keeping every state plus a backward pass, and the cap bounds all the
 states it holds.  Hitting the cap prints "resource-limit" on stdout,
 never a count of 0, and on stderr the cell the sweep reached, its states
-and their estimated bytes.
+and their estimated bytes; a bad cap, given here or in
+TRIBONE_MEMO_LIMIT_MB, is an input error that the library reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -187,9 +187,6 @@ def _cmd_tile(args: argparse.Namespace) -> int:
         return 0
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise TrihexError(f"--limit must be 0 or more, got {args.limit}")
-    memo = getattr(args, "memo_limit_mb", None)
-    if memo is not None and not (math.isfinite(memo) and memo >= 0):
-        raise TrihexError(f"--memo-limit-mb must be finite and 0 or more, got {memo}")
     region = _resolve(args)[0]
     tileset = _TILESETS[args.tiles]
     if args.tile_cmd == "count":

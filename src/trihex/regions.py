@@ -194,8 +194,11 @@ def boundary_cycle(cells: Collection[LatticePoint]) -> List[LatticePoint]:
     smallest such v.  The smallest vertex lies on an outline.  Raises
     NotSimplyConnected unless that outline is the only cycle: "not
     edge-connected" when another cycle runs counterclockwise, and "not a
-    single closed curve" when every other cycle goes round a hole.
+    single closed curve" when every other cycle goes round a hole.  No
+    cells raise EmptyRegion.
     """
+    if not cells:
+        raise EmptyRegion("cannot trace the boundary of an empty region")
     rows: Dict[int, List[int]] = defaultdict(list)
     for x, y in cells:
         rows[2 * x - y].append(y)
@@ -281,8 +284,6 @@ def trace_boundary(r: Region) -> Word:
     boundary_cycle does, for cells in several pieces or a region with a
     hole.
     """
-    if not r.cells:
-        raise EmptyRegion("cannot trace the boundary of an empty region")
     ring = boundary_cycle(r.cells)
     k = ring.index(min(v for v in ring if class_of(v) == 0))
     ring = ring[k:] + ring[:k]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvalidParams
@@ -78,7 +78,8 @@ def render_svg(
     only on u = 2x - y and screen y only on y, so before a ring (the cell
     corners, one kind's tile outline, a word) is drawn about its anchors,
     each distinct u and y it reaches is formatted once, keyed by value.
-    Raises InvalidParams when the unit puts the viewBox beyond the float range.
+    Raises InvalidParams when the unit puts the viewBox beyond the float
+    range, or when a coordinate does.
     """
     elements: List[str] = []
     unit = spec.unit
@@ -94,10 +95,13 @@ def render_svg(
         # every anchor draws every vertex, so only values drawn are added.
         template = [(2 * dx - dy, dy) for dx, dy in ring]
         us, vs = {2 * x - y for x, y in anchors}, {y for _x, y in anchors}
-        for u in {u + du for du, _ in template for u in us}.difference(xs):
-            xs[u] = _fmt(unit * (u / 2.0))
-        for y in {y + dy for _, dy in template for y in vs}.difference(ys):
-            ys[y] = _fmt(unit * (-y * _SQRT3_2))
+        try:  # every int drawn meets a float here first
+            for u in {u + du for du, _ in template for u in us}.difference(xs):
+                xs[u] = _fmt(unit * (u / 2.0))
+            for y in {y + dy for _, dy in template for y in vs}.difference(ys):
+                ys[y] = _fmt(unit * (-y * _SQRT3_2))
+        except OverflowError:
+            raise InvalidParams("a coordinate of the drawing is beyond the float range") from None
         return (
             " ".join([f"{xs[2 * x - y + du]},{ys[y + dy]}" for du, dy in template])
             for x, y in anchors
@@ -147,15 +151,15 @@ def render_svg(
                 'stroke-linejoin="round" />'
             )
 
-    # Both embeddings are monotone, so extreme values give the extremes.
-    u_ends, y_ends = [*xs], [*ys]
     tiled = tiling.region.cells if tiling is not None else ()
     if tiled and not (spec.show_cells and tiling.region == region):
-        # The tiling's cell corners lie at du -2..2 and dy -1..1 from the centres.
-        u_ends += [min(2 * x - y for x, y in tiled) - 2, max(2 * x - y for x, y in tiled) + 2]
-        y_ends += [min(y for _x, y in tiled) - 1, max(y for _x, y in tiled) + 1]
-    left, right = (unit * (u / 2.0) for u in (min(u_ends, default=0), max(u_ends, default=0)))
-    top, bottom = (unit * (-y * _SQRT3_2) for y in (max(y_ends, default=0), min(y_ends, default=0)))
+        # The corners of the tiling's cells of least and greatest u and y
+        # reach the tables, which then span all of its corners.
+        keys = (lambda c: 2 * c[0] - c[1], itemgetter(1))
+        points(_CORNER_OFFSETS, [f(tiled, key=k) for f in (min, max) for k in keys])
+    # Both embeddings are monotone, so extreme values give the extremes.
+    left, right = (unit * (u / 2.0) for u in (min(xs, default=0), max(xs, default=0)))
+    top, bottom = (unit * (-y * _SQRT3_2) for y in (max(ys, default=0), min(ys, default=0)))
     x0, y0 = left - _MARGIN, top - _MARGIN
     w = right - left + 2 * _MARGIN
     h = bottom - top + 2 * _MARGIN

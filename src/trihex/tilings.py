@@ -270,6 +270,8 @@ _BYTES_PER_STATE = 110
 
 
 def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
+    """The cap in bytes from memo_limit_mb, else TRIBONE_MEMO_LIMIT_MB, else
+    None; the one judge of a cap, raising InvalidParams for a bad one."""
     name = "memo_limit_mb"
     if memo_limit_mb is None:
         memo_limit_mb = os.environ.get("TRIBONE_MEMO_LIMIT_MB")
@@ -280,10 +282,8 @@ def _memo_limit_bytes(memo_limit_mb: Optional[float]) -> Optional[int]:
         limit = float(memo_limit_mb) * 1024 * 1024  # an int past float range overflows
     except (TypeError, ValueError, OverflowError):
         limit = math.nan
-    # int() raises on nan and infinities; a negative cap is bad input, not a
-    # cap that every sweep exceeds; a bool is no size
     if not math.isfinite(limit) or limit < 0 or isinstance(memo_limit_mb, bool):
-        raise ResourceLimit(f"bad {name} value {memo_limit_mb!r}")
+        raise InvalidParams(f"{name} must be finite and 0 or more, got {memo_limit_mb!r}")
     return int(limit)
 
 
@@ -386,29 +386,34 @@ def count_tilings(
     popped are held, so memory follows the live frontier.
 
     memo_limit_mb (or the TRIBONE_MEMO_LIMIT_MB environment variable) caps
-    the estimated bytes of live states.  Past the cap the sweep raises
-    ResourceLimit, naming the cell it reached; it never returns a bogus 0.
+    the estimated bytes of live states; a bad cap raises InvalidParams
+    before any work.  Past the cap the sweep raises ResourceLimit, naming
+    the cell it reached; it never returns a bogus 0.
     """
+    return _count(r, tileset, _memo_limit_bytes(memo_limit_mb))
+
+
+def _count(r: Region, tileset: Sequence[TileKind], limit: Optional[int]) -> int:
+    """count_tilings under a cap already in bytes."""
     table = _move_table(r, tileset, _counting_order)[1]
     n = len(table)
     if n % 3:
         return 0
-    last = _sweep(table, _memo_limit_bytes(memo_limit_mb), keep=False)[0][n]
+    last = _sweep(table, limit, keep=False)[0][n]
     return last.get(0, 0) if last is not None else 0
 
 
 def _frequency_table(
-    r: Region, tileset: Sequence[TileKind], memo_limit_mb: Optional[float]
+    r: Region, tileset: Sequence[TileKind], limit: Optional[int]
 ) -> Dict[Tuple[int, LatticePoint], int]:
     """The frequency of every placement in placements(r, tileset), keyed by
     _placement_key, from the kept forward sweep and one backward pass over
-    the same buckets."""
+    the same buckets, under a cap of limit bytes."""
     ps, table = _move_table(r, tileset, _counting_order)
     n = len(table)
     freq = {_placement_key(p): 0 for p in ps}
     if n % 3:
         return freq
-    limit = _memo_limit_bytes(memo_limit_mb)
     buckets, moves = _sweep(table, limit, keep=True)
     if buckets[n] is None:
         return freq
@@ -471,7 +476,9 @@ def enumerate_tilings(
     backtracking, and nothing is computed ahead of the first tiling.  The
     dead set obeys the counting cap (TRIBONE_MEMO_LIMIT_MB, estimated at
     the same bytes per state): once full it stops growing and the search
-    goes on without recording more, never raising for lack of room.
+    goes on without recording more, never raising for lack of room.  A bad
+    tileset, cap or limit (not an int or None, or a bool) raises
+    InvalidParams before the first tiling; a limit <= 0 yields nothing.
 
     Every tiling yielded is valid by construction and marked so: the
     statistics trust it without a second check.  Its placements come out
@@ -479,7 +486,10 @@ def enumerate_tilings(
     placements(r, tileset)), sorted as plain ints, so it is equal to,
     hashes like and holds the same tuple as Tiling(r, its placements).
     """
-    _tileset_kinds(tileset)  # checked before the first tiling, even for limit 0
+    _tileset_kinds(tileset)  # these checks come before the first tiling, even for limit 0
+    cap = _memo_limit_bytes(None)
+    if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
+        raise InvalidParams(f"limit must be an int or None, got {limit!r}")
     if limit is not None and limit <= 0:
         return
     ps, by_first = _move_table(r, tileset, _enumeration_order)
@@ -489,7 +499,6 @@ def enumerate_tilings(
         return
     if n % 3:
         return
-    cap = _memo_limit_bytes(None)
     room = None if cap is None else cap // _BYTES_PER_STATE
     shift = n.bit_length()  # the key mask << shift | i is injective for i <= n
     dead: set = set()
@@ -578,7 +587,8 @@ def placement_frequency(
     and memo_limit_mb (or TRIBONE_MEMO_LIMIT_MB) caps the estimated bytes
     of the states held while it is built; past the cap it raises
     ResourceLimit and keeps nothing.  A call answered from the kept table
-    builds nothing, so the cap does not bind it.
+    builds nothing, so the cap does not bind it, but any call raises
+    InvalidParams for a bad cap.
 
     A placement whose kind is not in the tileset is in no such tiling; it
     is answered with the number of tilings of the region less its cells,
@@ -586,16 +596,17 @@ def placement_frequency(
     InvalidPlacement.
     """
     global _last_frequencies
+    limit = _memo_limit_bytes(memo_limit_mb)
     kinds = _tileset_kinds(tileset)
     cells = frozenset(cells_of(p))
     if not cells <= r.cells:
         raise InvalidPlacement(f"{p.kind.value} at {p.anchor} is not inside the region")
     if p.kind not in kinds:
-        return count_tilings(Region(r.cells - cells), tileset, memo_limit_mb)
+        return _count(Region(r.cells - cells), tileset, limit)
     key = (r, kinds)
     last = _last_frequencies
     if last is None or last[0] != key:
-        last = (key, _frequency_table(r, tileset, memo_limit_mb))
+        last = (key, _frequency_table(r, tileset, limit))
         _last_frequencies = last
     return last[1][_placement_key(p)]
 

@@ -339,13 +339,15 @@ def test_shadow_seed_second_letter_changes_nothing(capsys):
 
 def _tile_on_a_fresh_region(capsys, command, *extra):
     """Run `tile command` on the (12,15) benzel with bones; for freq, after
-    a call on another region, so no kept (12,15) table answers it."""
+    a call on another region, so no kept (12,15) table answers it.  That
+    call sets its own cap, so a TRIBONE_MEMO_LIMIT_MB the test sets does
+    not reach it."""
     argv = ["tile", command, "--benzel", "12,15", "--tiles", "bones", *extra]
     if command == "freq":
         argv += ["--placement", "boneAB,-1,0"]
         assert run(
             capsys, "tile", "freq", "--benzel", "5,7", "--tiles", "bones",
-            "--placement", "boneAB,-1,0",
+            "--placement", "boneAB,-1,0", "--memo-limit-mb", "64",
         )[0] == 0
     return run(capsys, *argv)
 
@@ -355,7 +357,7 @@ def _tile_on_a_fresh_region(capsys, command, *extra):
 def test_non_finite_memo_limit(capsys, command, value):
     code, out, err = _tile_on_a_fresh_region(capsys, command, f"--memo-limit-mb={value}")
     assert code == 2 and out == ""
-    assert err == f"error: --memo-limit-mb must be finite and 0 or more, got {value}\n"
+    assert err == f"error: memo_limit_mb must be finite and 0 or more, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
@@ -363,9 +365,8 @@ def test_non_finite_memo_limit(capsys, command, value):
 def test_non_finite_memo_limit_env(capsys, monkeypatch, command, value):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", value)
     code, out, err = _tile_on_a_fresh_region(capsys, command)
-    assert code == 3
-    assert out.strip() == "resource-limit"
-    assert "TRIBONE_MEMO_LIMIT_MB" in err
+    assert code == 2 and out == ""
+    assert err == f"error: TRIBONE_MEMO_LIMIT_MB must be finite and 0 or more, got {value!r}\n"
 
 
 # --- one input path ----------------------------------------------------------
@@ -415,7 +416,7 @@ def test_render_stdout_is_unchanged(capsys, argv, digest):
         *[
             (["tile", command, "--benzel", "5,7", "--tiles", "bones", *extra,
               "--memo-limit-mb", value],
-             f"--memo-limit-mb must be finite and 0 or more, got {shown}")
+             f"memo_limit_mb must be finite and 0 or more, got {shown}")
             for command, extra in [("count", []), ("freq", ["--placement", "boneAB,-1,0"])]
             for value, shown in [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")]
         ],
@@ -573,20 +574,56 @@ def test_render_unit_must_be_positive_and_finite(capsys, unit):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--region", "far.json"],
+        ["--region", "far.json", "--no-cells", "--boundary"],
+        ["--benzel", "5,7", "--word", "far.txt"],
+    ],
+)
+def test_render_coordinates_beyond_the_float_range(capsys, monkeypatch, tmp_path, argv):
+    # region_from_json takes a class -1 cell with ints of any size, and a
+    # word file any base; neither fits in a float.
+    (tmp_path / "far.json").write_text(json.dumps({"cells": [[3 * 10**400 - 1, 0]]}))
+    (tmp_path / "far.txt").write_text(f"base={3 * 10**400},2 b a' c b' a c'\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "render", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: a coordinate of the drawing is beyond the float range\n"
+
+
 @pytest.mark.parametrize("command", ["count", "freq"])
 def test_negative_memo_limit(capsys, command):
     code, out, err = _tile_on_a_fresh_region(capsys, command, "--memo-limit-mb=-1")
     assert code == 2 and out == ""
-    assert err == "error: --memo-limit-mb must be finite and 0 or more, got -1.0\n"
+    assert err == "error: memo_limit_mb must be finite and 0 or more, got -1.0\n"
 
 
 @pytest.mark.parametrize("command", ["count", "freq", "enumerate"])
 def test_negative_memo_limit_env(capsys, monkeypatch, command):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "-1")
     code, out, err = _tile_on_a_fresh_region(capsys, command)
-    assert code == 3
-    assert out.strip() == "resource-limit"
-    assert err == "resource-limit: bad TRIBONE_MEMO_LIMIT_MB value '-1'\n"
+    assert code == 2 and out == ""
+    assert err == "error: TRIBONE_MEMO_LIMIT_MB must be finite and 0 or more, got '-1'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tile", "count", "--region", "t4.json", "--tiles", "bones"],
+        ["tile", "enumerate", "--benzel", "3,3", "--tiles", "bones", "--limit", "0"],
+    ],
+)
+def test_bad_memo_limit_env_whatever_the_region(capsys, monkeypatch, tmp_path, argv):
+    # T4 has 10 cells, so no tiling, and limit 0 asks for none; the cap is
+    # judged first all the same.
+    (tmp_path / "t4.json").write_text(json.dumps(region_to_json(triangle(4))))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "nan")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: TRIBONE_MEMO_LIMIT_MB must be finite and 0 or more, got 'nan'\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-0"])

@@ -20,6 +20,7 @@ from trihex.regions import (
     BenzelParams,
     Region,
     benzel,
+    boundary_cycle,
     boundary_word_closed_form,
     bounding_hexagon,
     despur,
@@ -32,6 +33,8 @@ from trihex.regions import (
     word_from_text,
     word_to_text,
 )
+
+from trihex.shadow import cl_invariant_path
 
 from reference import cell_corners, cyclically_equal, region_from_cells, rotated
 
@@ -177,8 +180,17 @@ def test_trace_boundary_rejects_an_island_inside_a_hole():
 
 
 def test_trace_boundary_empty():
-    with pytest.raises(EmptyRegion):
-        trace_boundary(Region(frozenset()))
+    for trace in (trace_boundary, cl_invariant_path):
+        with pytest.raises(EmptyRegion) as e:
+            trace(Region(frozenset()))
+        assert str(e.value) == "cannot trace the boundary of an empty region"
+
+
+@pytest.mark.parametrize("cells", [[], ()])
+def test_boundary_cycle_empty(cells):
+    with pytest.raises(EmptyRegion) as e:
+        boundary_cycle(cells)
+    assert str(e.value) == "cannot trace the boundary of an empty region"
 
 
 def test_closed_form_words_match_tracing():

@@ -17,6 +17,7 @@ from trihex.regions import (
     bounding_hexagon,
     trace_boundary,
     triangle,
+    word_from_text,
 )
 from trihex.render import (
     _BOUNDARY_STROKE,
@@ -157,6 +158,27 @@ def test_render_never_writes_inf():
         render_svg(region=benzel(BenzelParams(5, 7)), spec=RenderSpec(unit=1e308))
     svg = render_svg(region=benzel(BenzelParams(5, 7)), spec=RenderSpec(unit=1e300))
     assert "inf" not in svg and "nan" not in svg
+
+
+# A class -1 cell whose x no float holds, and a word based as far out.
+_FAR = Region(frozenset({LatticePoint(3 * 10**400 - 1, 0)}))
+_FAR_WORD = word_from_text(f"base={3 * 10**400},2 b a' c b' a c'")
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        dict(region=_FAR),
+        dict(boundary=trace_boundary(_FAR)),
+        dict(tiling=Tiling(_FAR, ()), spec=RenderSpec(show_cells=False)),
+        dict(region=benzel(BenzelParams(5, 7)), boundary=_FAR_WORD),
+    ],
+    ids=["cells", "boundary", "tiling-corners", "word"],
+)
+def test_coordinates_beyond_the_float_range(layers):
+    with pytest.raises(InvalidParams) as err:
+        render_svg(**layers)
+    assert str(err.value) == "a coordinate of the drawing is beyond the float range"
 
 
 # The render that embeds and formats every drawn vertex as a LatticePoint,

@@ -301,6 +301,16 @@ def test_enumerate_respects_limit():
     r = benzel(BenzelParams(3, 3))
     assert len(list(enumerate_tilings(r, STONES_AND_BONES, limit=2))) == 2
     assert list(enumerate_tilings(r, STONES_AND_BONES, limit=0)) == []
+    assert list(enumerate_tilings(r, STONES_AND_BONES, limit=-1)) == []
+
+
+@pytest.mark.parametrize("limit", ["3", 1.5, True, False], ids=["str", "float", "True", "False"])
+def test_enumerate_limit_of_the_wrong_type(limit):
+    # A bool is no count even though it is an int; each raises before the
+    # first tiling, where a str met a bare TypeError and 1.5 yielded 2.
+    with pytest.raises(InvalidParams) as err:
+        next(enumerate_tilings(benzel(BenzelParams(3, 3)), STONES_AND_BONES, limit))
+    assert str(err.value) == f"limit must be an int or None, got {limit!r}"
 
 
 def test_memo_cap_raises_resource_limit():
@@ -378,27 +388,37 @@ def test_memo_cap_env_var(monkeypatch):
         count_tilings(benzel(BenzelParams(12, 15)), BONES)
 
 
+def _bad_cap(name, value):
+    """The InvalidParams text for a bad cap from name."""
+    return f"{name} must be finite and 0 or more, got {value!r}"
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_memo_limit(value):
-    with pytest.raises(ResourceLimit, match="memo_limit_mb"):
+    with pytest.raises(InvalidParams) as err:
         count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
+    assert str(err.value) == _bad_cap("memo_limit_mb", value)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "ten"])
 def test_non_finite_memo_limit_env_var(monkeypatch, value):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", value)
     r = benzel(BenzelParams(5, 7))
-    with pytest.raises(ResourceLimit, match="TRIBONE_MEMO_LIMIT_MB"):
+    message = _bad_cap("TRIBONE_MEMO_LIMIT_MB", value)
+    with pytest.raises(InvalidParams) as err:
         count_tilings(r, BONES)
-    with pytest.raises(ResourceLimit, match="TRIBONE_MEMO_LIMIT_MB"):
+    assert str(err.value) == message
+    with pytest.raises(InvalidParams) as err:
         next(enumerate_tilings(r, BONES))
+    assert str(err.value) == message
 
 
 def _fresh_frequency(memo_limit_mb=None):
     """placement_frequency on one bone's cells, after a call on another
-    region, so no kept table answers it."""
+    region, so no kept table answers it.  That first call sets its own cap,
+    so a TRIBONE_MEMO_LIMIT_MB the test sets does not reach it."""
     other = Placement(TileKind.BONE_AB, LatticePoint(-1, 0))
-    placement_frequency(benzel(BenzelParams(5, 7)), BONES, other)
+    placement_frequency(benzel(BenzelParams(5, 7)), BONES, other, 64)
     p = Placement(TileKind.BONE_AB, ANCHOR)
     return placement_frequency(Region(frozenset(cells_of(p))), BONES, p, memo_limit_mb)
 
@@ -409,10 +429,13 @@ def test_one_bone_frequency():
 
 @pytest.mark.parametrize("value", [-1, -0.5, -math.inf])
 def test_negative_memo_limit(value):
-    with pytest.raises(ResourceLimit, match="bad memo_limit_mb value"):
+    message = _bad_cap("memo_limit_mb", value)
+    with pytest.raises(InvalidParams) as err:
         count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
-    with pytest.raises(ResourceLimit, match="bad memo_limit_mb value"):
+    assert str(err.value) == message
+    with pytest.raises(InvalidParams) as err:
         _fresh_frequency(value)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -421,11 +444,11 @@ def test_negative_memo_limit(value):
 def test_memo_limit_of_the_wrong_type(value):
     # Each is bad input worded like a negative cap: not a bare TypeError
     # or OverflowError, and a bool is no size even though it is an int.
-    message = f"bad memo_limit_mb value {value!r}"
-    with pytest.raises(ResourceLimit) as err:
+    message = _bad_cap("memo_limit_mb", value)
+    with pytest.raises(InvalidParams) as err:
         count_tilings(benzel(BenzelParams(5, 7)), BONES, memo_limit_mb=value)
     assert str(err.value) == message
-    with pytest.raises(ResourceLimit) as err:
+    with pytest.raises(InvalidParams) as err:
         _fresh_frequency(value)
     assert str(err.value) == message
 
@@ -433,13 +456,56 @@ def test_memo_limit_of_the_wrong_type(value):
 def test_negative_memo_limit_env_var(monkeypatch):
     monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "-1")
     r = benzel(BenzelParams(5, 7))
-    message = "bad TRIBONE_MEMO_LIMIT_MB value '-1'"
-    with pytest.raises(ResourceLimit, match=message):
+    message = "TRIBONE_MEMO_LIMIT_MB must be finite and 0 or more, got '-1'"
+    with pytest.raises(InvalidParams) as err:
         count_tilings(r, BONES)
-    with pytest.raises(ResourceLimit, match=message):
+    assert str(err.value) == message
+    with pytest.raises(InvalidParams) as err:
         _fresh_frequency()
-    with pytest.raises(ResourceLimit, match=message):
+    assert str(err.value) == message
+    with pytest.raises(InvalidParams) as err:
         next(enumerate_tilings(r, BONES))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", [-1, math.nan, "env nan"])
+def test_bad_memo_limit_is_checked_whatever_the_region(monkeypatch, value):
+    # T4 has 10 cells, so no tiling; the cap is judged before that is seen.
+    if value == "env nan":
+        monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "nan")
+        value, message = None, _bad_cap("TRIBONE_MEMO_LIMIT_MB", "nan")
+    else:
+        message = _bad_cap("memo_limit_mb", value)
+    r = triangle(4)
+    p = placements(r, BONES)[0]
+    stone = placements(r, STONES)[0]  # outside the tileset: the remainder's count
+    for call in (
+        lambda: count_tilings(r, BONES, value),
+        lambda: placement_frequency(r, BONES, p, value),
+        lambda: placement_frequency(r, BONES, stone, value),
+    ):
+        with pytest.raises(InvalidParams) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_bad_memo_limit_with_a_kept_frequency_table():
+    r = benzel(BenzelParams(5, 7))
+    p = placements(r, BONES)[0]
+    kept = placement_frequency(r, BONES, p)
+    with pytest.raises(InvalidParams) as err:
+        placement_frequency(r, BONES, p, math.nan)
+    assert str(err.value) == _bad_cap("memo_limit_mb", math.nan)
+    assert placement_frequency(r, BONES, p, 0) == kept  # the kept table answers, uncapped
+
+
+def test_bad_memo_limit_env_var_before_any_tiling(monkeypatch):
+    monkeypatch.setenv("TRIBONE_MEMO_LIMIT_MB", "nan")
+    message = _bad_cap("TRIBONE_MEMO_LIMIT_MB", "nan")
+    for r, limit in [(triangle(4), None), (benzel(BenzelParams(5, 7)), 0), (Region(frozenset()), None)]:
+        with pytest.raises(InvalidParams) as err:
+            list(enumerate_tilings(r, BONES, limit))
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", [0, -0.0, "0"])
