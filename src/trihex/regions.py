@@ -55,6 +55,8 @@ class Region:
     cells: FrozenSet[LatticePoint]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cells, frozenset):
+            raise InvalidParams(f"cells must be a frozenset, got {type(self.cells).__name__}")
         for c in self.cells:
             if type(c) is not LatticePoint:
                 raise InvalidParams(f"cell {c!r} is not a LatticePoint")

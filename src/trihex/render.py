@@ -31,16 +31,21 @@ _BOUNDARY_STROKE, _SHADOW_STROKE, _HEXAGON_STROKE = "#d62728", "#1f77b4", "#8888
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """The scale of the SVG output (a positive, finite length per lattice
-    unit) and whether to draw the cell layer; every other layer is drawn
+    """The scale of the SVG output (a positive, finite number, not a bool,
+    per lattice unit) and whether to draw the cell layer; every other layer is drawn
     whenever it is given."""
 
     unit: float = 20.0
     show_cells: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.unit) and self.unit > 0):
-            raise InvalidParams(f"unit must be positive and finite, got {self.unit!r}")
+        unit = self.unit
+        try:  # a str or None is no number, and an int past float range overflows
+            ok = not isinstance(unit, bool) and math.isfinite(unit) and unit > 0
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidParams(f"unit must be positive and finite, got {unit!r}")
 
 
 def embed(p: LatticePoint, unit: float) -> Tuple[float, float]:

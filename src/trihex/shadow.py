@@ -188,8 +188,11 @@ def is_pentagonal_pair(a: int, b: int) -> Optional[int]:
     """The k >= 2 with {a, b} = {k(3k-1)/2, k(3k+1)/2}, if one exists.
 
     These are exactly the parameter pairs whose benzel admits a bone
-    tiling; 24*min(a,b)+1 must be the perfect square (6k-1)^2.
+    tiling; 24*min(a,b)+1 must be the perfect square (6k-1)^2.  A
+    parameter that is not an int, or is a bool, raises InvalidParams.
     """
+    if not (type(a) is int and type(b) is int):
+        raise InvalidParams(f"parameters must be integers, got ({a!r}, {b!r})")
     lo, hi = min(a, b), max(a, b)
     if lo < 2:
         return None

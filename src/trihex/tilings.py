@@ -9,11 +9,12 @@ states.  Each popped cell looks up the moves that fit a state by the
 pattern of covered cells they touch, in a per-cell table filled as
 patterns appear, so a state tries no move that overlaps it.  Placement
 frequencies run the same sweep keeping every state, then a backward pass
-that counts each state's completions; a placement's frequency sums, over
-the moves that place it, the partial tilings before the move times the
-completions after it.  The table of all frequencies of the latest region
-and tileset asked about is kept, and here the cap bounds every state
-held, not just the live frontier.  A placement whose kind is outside the
+that reads the forward sweep's fitting-move tables to count each state's
+completions; a placement's frequency sums, over the moves that place it,
+the partial tilings before the move times the completions after it.  The
+table of all frequencies of the latest region and tileset asked about is
+kept, and here the cap bounds every state held, not just the live
+frontier.  A placement whose kind is outside the
 tileset is answered by counting the region less its cells.  Enumeration
 is a separate depth-first search over the same move table, built in its
 own diagonal order (x - y, then x), which fixes its documented output
@@ -323,19 +324,19 @@ class _Fits(dict):
 
 def _sweep(
     table: List[List[Tuple[int, int]]], limit: Optional[int], keep: bool
-) -> Tuple[List[Optional[Dict[int, int]]], List[List[int]]]:
+) -> Tuple[List[Optional[Dict[int, int]]], List[Optional[_Fits]]]:
     """The forward frontier sweep behind count_tilings and the frequency
     table.  Returns the buckets (bucket i maps the window mask of each
     state at cell i to its count of partial tilings, None where no state
-    arose) and each cell's move masks.  Without keep a bucket is dropped
-    once popped, so only bucket n is left; with keep every bucket stays,
-    and the cap is charged for all of them.  Each state tries only the
-    moves that fit, looked up by the pattern of covered cells they touch."""
+    arose) and the _Fits of each cell, the moves that fit each pattern met
+    there (None where no state arose), which the backward pass reads.
+    Without keep a bucket is dropped once popped, so only bucket n is left;
+    with keep every bucket stays, and the cap is charged for all of them."""
     n = len(table)
-    moves = [[bits for _rank, bits in ms] for ms in table]
-    reach = max((bits.bit_length() - 1 for ps in moves for bits in ps), default=0)
+    reach = max((bits.bit_length() - 1 for ms in table for _rank, bits in ms), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
+    tables: List[Optional[_Fits]] = [None] * n
     held = 0  # states of the popped buckets still held
     low = _LOWEST_CLEAR
     for i in range(n):
@@ -347,7 +348,7 @@ def _sweep(
         else:
             buckets[i] = None
             held = len(layer)
-        fits = _Fits(moves[i])
+        fits = tables[i] = _Fits([bits for _rank, bits in table[i]])
         used = fits.used
         for mask, count in layer.items():
             for bits in fits[mask & used]:
@@ -366,7 +367,7 @@ def _sweep(
                 len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
             )
             _check_cap(i, n, live, limit, keep)
-    return buckets, moves
+    return buckets, tables
 
 
 def count_tilings(
@@ -408,19 +409,19 @@ def _frequency_table(
 ) -> Dict[Tuple[int, LatticePoint], int]:
     """The frequency of every placement in placements(r, tileset), keyed by
     _placement_key, from the kept forward sweep and one backward pass over
-    the same buckets, under a cap of limit bytes."""
+    the same buckets and fitting-move tables, under a cap of limit bytes."""
     ps, table = _move_table(r, tileset, _counting_order)
     n = len(table)
     freq = {_placement_key(p): 0 for p in ps}
     if n % 3:
         return freq
-    buckets, moves = _sweep(table, limit, keep=True)
+    buckets, tables = _sweep(table, limit, keep=True)
     if buckets[n] is None:
         return freq
     # Walking back, bucket i's partial-tiling counts become its states'
     # completion counts (states with none dropped), read off its children
-    # in buckets already replaced.  A move from a state with F partial
-    # tilings into a child with G completions lies in F * G tilings.
+    # by the moves the sweep found to fit.  A move from a state with F
+    # partial tilings into a child with G completions lies in F * G tilings.
     buckets[n] = {0: 1}
     held = sum(len(b) for b in buckets if b is not None)  # states the list holds
     low = _LOWEST_CLEAR
@@ -428,14 +429,13 @@ def _frequency_table(
         layer = buckets[i]
         if layer is None:
             continue
-        bits_i = moves[i]
-        sums = [0] * len(bits_i)
+        fits = tables[i]
+        used = fits.used
+        sums = dict.fromkeys(fits.moves, 0)  # a move's mask names it at cell i
         out = {}
         for mask, f in layer.items():
             g = 0
-            for k, bits in enumerate(bits_i):
-                if mask & bits:
-                    continue
+            for bits in fits[mask & used]:
                 m = mask | bits
                 j = low[m & 4095]
                 if j == 12:
@@ -443,15 +443,15 @@ def _frequency_table(
                 c = buckets[i + j].get(m >> j)
                 if c:
                     g += c
-                    sums[k] += f * c
+                    sums[bits] += f * c
             if g:
                 out[mask] = g
         if limit is not None:
             _check_cap(i, n, held + len(out), limit, kept=True)
         held += len(out) - len(layer)
         buckets[i] = out
-        for (rank, _bits), total in zip(table[i], sums):
-            freq[_placement_key(ps[rank])] = total
+        for rank, bits in table[i]:
+            freq[_placement_key(ps[rank])] = sums[bits]
     return freq
 
 

@@ -72,6 +72,15 @@ def test_region_rejects_non_centers():
         Region(frozenset({(-2, -2), (-1, 0), (0, -1)}))
 
 
+@pytest.mark.parametrize("kind", [set, list, tuple])
+def test_region_cells_must_be_a_frozenset(kind):
+    # A set would make the region unhashable, and a list or tuple would fail
+    # the subset tests of the engines, each with a bare TypeError.
+    with pytest.raises(InvalidParams) as err:
+        Region(kind(triangle(2).cells))
+    assert str(err.value) == f"cells must be a frozenset, got {kind.__name__}"
+
+
 def test_small_benzels():
     assert len(benzel(BenzelParams(2, 2))) == 3
     assert len(benzel(BenzelParams(3, 3))) == 6

@@ -146,10 +146,18 @@ def test_empty_document():
     )
 
 
-@pytest.mark.parametrize("unit", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0])
+@pytest.mark.parametrize(
+    "unit", [math.nan, math.inf, -math.inf, 0.0, -0.0, -5.0, True, False, "20", None, 10**400]
+)
 def test_unit_must_be_positive_and_finite(unit):
-    with pytest.raises(InvalidParams, match="unit"):
+    with pytest.raises(InvalidParams) as err:
         RenderSpec(unit=unit)
+    assert str(err.value) == f"unit must be positive and finite, got {unit!r}"
+
+
+def test_an_int_unit_draws_as_its_float():
+    r = benzel(BenzelParams(5, 7))
+    assert render_svg(region=r, spec=RenderSpec(unit=20)) == render_svg(region=r, spec=RenderSpec(unit=20.0))
 
 
 def test_render_never_writes_inf():

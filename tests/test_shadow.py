@@ -245,6 +245,13 @@ def test_pentagonal_pairs():
     assert is_pentagonal_pair(5, 8) is None
 
 
+@pytest.mark.parametrize("a, b", [(2.5, 3), ("5", 7), (True, 2)])
+def test_pentagonal_pair_needs_integers(a, b):
+    with pytest.raises(InvalidParams) as err:
+        is_pentagonal_pair(a, b)
+    assert str(err.value) == f"parameters must be integers, got ({a!r}, {b!r})"
+
+
 def test_vanishing_iff_pentagonal():
     for p in all_valid_params(40):
         vanishes = cl_invariant_formula(p).I == 0

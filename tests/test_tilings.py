@@ -45,6 +45,7 @@ from trihex.tilings import (
     validation_error,
     _BYTES_PER_STATE,
     _counting_order,
+    _frequency_table,
     _mark_valid,
     _move_table,
     _placement_key,
@@ -359,11 +360,45 @@ def _plain_sweep(table):
     return buckets, moves, far
 
 
-def test_sweep_matches_the_plain_sweep():
-    # The sweep looks up the moves that fit by window pattern and reads the
-    # lowest clear bit from a 12-bit table; every bucket must come out as
-    # from the plain loop, including the moves that jump 12 or more cells.
-    cases = [
+def _plain_frequency_table(r, tileset):
+    """The frequency table written plainly: the plain sweep, then a backward
+    pass in which every state tests each move of its cell again and sums
+    by the move's index in its cell's list."""
+    ps, table = _move_table(r, tileset, _counting_order)
+    n = len(table)
+    freq = {_placement_key(p): 0 for p in ps}
+    buckets, moves, _ = _plain_sweep(table)
+    if n % 3 or buckets[n] is None:
+        return freq
+    buckets[n] = {0: 1}
+    for i in range(n - 1, -1, -1):
+        if buckets[i] is None:
+            continue
+        sums = [0] * len(moves[i])
+        out = {}
+        for mask, f in buckets[i].items():
+            g = 0
+            for k, bits in enumerate(moves[i]):
+                if mask & bits:
+                    continue
+                m = mask | bits
+                j = (~m & (m + 1)).bit_length() - 1
+                c = buckets[i + j].get(m >> j)
+                if c:
+                    g += c
+                    sums[k] += f * c
+            if g:
+                out[mask] = g
+        buckets[i] = out
+        for (rank, _bits), total in zip(table[i], sums):
+            freq[_placement_key(ps[rank])] = total
+    return freq
+
+
+def _sweep_cases():
+    """Regions and tilesets on which the sweep and the frequency table are
+    checked against their plain versions."""
+    return [
         (benzel(BenzelParams(9, 9)), STONES_AND_BONES),
         (benzel(BenzelParams(12, 12)), STONES_AND_BONES),
         (benzel(BenzelParams(12, 15)), BONES),
@@ -371,15 +406,34 @@ def test_sweep_matches_the_plain_sweep():
         (_rotated_and_translated(triangle(8))[1], STONES_AND_BONES),
         (_rotated_and_translated(benzel(BenzelParams(9, 9)))[3], STONES_AND_BONES),
     ]
+
+
+def test_sweep_matches_the_plain_sweep():
+    # The sweep looks up the moves that fit by window pattern and reads the
+    # lowest clear bit from a 12-bit table; every bucket must come out as
+    # from the plain loop, including the moves that jump 12 or more cells.
+    # The _Fits returned are those of the popped cells, each over its
+    # cell's move masks in table order.
     far = []
-    for r, tileset in cases:
+    for r, tileset in _sweep_cases():
         table = _move_table(r, tileset, _counting_order)[1]
         expected, expected_moves, jumps = _plain_sweep(table)
-        buckets, moves = _sweep(table, None, keep=True)
+        buckets, fits = _sweep(table, None, keep=True)
         assert buckets == expected, (len(r), tileset)
-        assert moves == expected_moves
+        popped = [i for i in range(len(table)) if expected[i] is not None]
+        assert [f.moves for f in fits if f is not None] == [expected_moves[i] for i in popped]
         far.append(jumps)
     assert far[:3] == [21, 1488, 90]
+
+
+def test_frequency_table_matches_the_plain_backward_pass():
+    # Whole tables on regions too large for the recount oracle, B(12,12)
+    # stones+bones among them with its 1,488 moves that jump 12 or more
+    # cells: the backward pass reads the sweep's fitting-move tables.
+    for r, tileset in _sweep_cases():
+        assert _frequency_table(r, tileset, None) == _plain_frequency_table(r, tileset), (
+            len(r), tileset,
+        )
 
 
 def test_memo_cap_env_var(monkeypatch):
