@@ -32,8 +32,8 @@ _BOUNDARY_STROKE, _SHADOW_STROKE, _HEXAGON_STROKE = "#d62728", "#1f77b4", "#8888
 @dataclass(frozen=True)
 class RenderSpec:
     """The scale of the SVG output (a positive, finite number, not a bool,
-    per lattice unit) and whether to draw the cell layer; every other layer is drawn
-    whenever it is given."""
+    per lattice unit) and whether to draw the cell layer; every other
+    layer is drawn whenever it is given."""
 
     unit: float = 20.0
     show_cells: bool = True

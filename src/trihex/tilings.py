@@ -14,17 +14,17 @@ completions; a placement's frequency sums, over the moves that place it,
 the partial tilings before the move times the completions after it.  The
 table of all frequencies of the latest region and tileset asked about is
 kept, and here the cap bounds every state held, not just the live
-frontier.  A placement whose kind is outside the
-tileset is answered by counting the region less its cells.  Enumeration
-is a separate depth-first search over the same move table, built in its
-own diagonal order (x - y, then x), which fixes its documented output
-order; it keeps its own stack of frames, so neither engine recurses and
-region size never meets the recursion limit.  It records each frontier
-state found to have no completion and never enters one again; that
-dead-state set obeys the same memory cap, and once full it stops growing
-while the search goes on unchanged.  Each move of the table carries its
-rank, its index in placements(r, tileset), whose (kind, anchor) order is
-the canonical order of a tiling's placements, so enumeration puts each
+frontier.  A placement whose kind is outside the tileset is answered by
+counting the region less its cells.  Enumeration is a separate
+depth-first search over the same move table, built in its own diagonal
+order (x - y, then x), which fixes its documented output order; it keeps
+its own stack of frames, so neither engine recurses and region size
+never meets the recursion limit.  It records each frontier state found
+to have no completion and never enters one again; that dead-state set
+obeys the same memory cap, and once full it stops growing while the
+search goes on unchanged.  Each move of the table carries its rank, its
+index in placements(r, tileset), whose (kind, anchor) order is the
+canonical order of a tiling's placements, so enumeration puts each
 tiling in that order by a plain sort of its ranks.
 
 A tiling is frozen, so once valid it stays valid, and each Tiling object
@@ -336,7 +336,7 @@ def _sweep(
     reach = max((bits.bit_length() - 1 for ms in table for _rank, bits in ms), default=0)
     buckets: List[Optional[Dict[int, int]]] = [None] * (n + 1)
     buckets[0] = {0: 1}
-    tables: List[Optional[_Fits]] = [None] * n
+    fits: List[Optional[_Fits]] = [None] * n
     held = 0  # states of the popped buckets still held
     low = _LOWEST_CLEAR
     for i in range(n):
@@ -348,10 +348,10 @@ def _sweep(
         else:
             buckets[i] = None
             held = len(layer)
-        fits = tables[i] = _Fits([bits for _rank, bits in table[i]])
-        used = fits.used
+        fit = fits[i] = _Fits([bits for _rank, bits in table[i]])
+        used = fit.used
         for mask, count in layer.items():
-            for bits in fits[mask & used]:
+            for bits in fit[mask & used]:
                 m = mask | bits
                 j = low[m & 4095]
                 if j == 12:
@@ -367,7 +367,7 @@ def _sweep(
                 len(b) for b in buckets[i + 1 : i + reach + 2] if b is not None
             )
             _check_cap(i, n, live, limit, keep)
-    return buckets, tables
+    return buckets, fits
 
 
 def count_tilings(
@@ -415,7 +415,7 @@ def _frequency_table(
     freq = {_placement_key(p): 0 for p in ps}
     if n % 3:
         return freq
-    buckets, tables = _sweep(table, limit, keep=True)
+    buckets, fits = _sweep(table, limit, keep=True)
     if buckets[n] is None:
         return freq
     # Walking back, bucket i's partial-tiling counts become its states'
@@ -429,13 +429,13 @@ def _frequency_table(
         layer = buckets[i]
         if layer is None:
             continue
-        fits = tables[i]
-        used = fits.used
-        sums = dict.fromkeys(fits.moves, 0)  # a move's mask names it at cell i
+        fit = fits[i]
+        used = fit.used
+        sums = dict.fromkeys(fit.moves, 0)  # a move's mask names it at cell i
         out = {}
         for mask, f in layer.items():
             g = 0
-            for bits in fits[mask & used]:
+            for bits in fit[mask & used]:
                 m = mask | bits
                 j = low[m & 4095]
                 if j == 12:

@@ -157,7 +157,8 @@ def test_unit_must_be_positive_and_finite(unit):
 
 def test_an_int_unit_draws_as_its_float():
     r = benzel(BenzelParams(5, 7))
-    assert render_svg(region=r, spec=RenderSpec(unit=20)) == render_svg(region=r, spec=RenderSpec(unit=20.0))
+    as_int = render_svg(region=r, spec=RenderSpec(unit=20))
+    assert as_int == render_svg(region=r, spec=RenderSpec(unit=20.0))
 
 
 def test_render_never_writes_inf():
