@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .errors import FormatError, ResourceLimit, TrihexError
 from .hexlattice import LatticePoint, signed_area
@@ -36,7 +36,7 @@ from .regions import (
     word_from_text,
     word_to_text,
 )
-from .render import RenderSpec, render_svg
+from .render import RenderSpec, _svg_chunks
 from .shadow import (
     DEFAULT_SEED,
     area_formula,
@@ -90,13 +90,16 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
         return parse(f.read())
 
 
-def _write(path: Optional[str], text: str) -> None:
-    """Write text to the file at path, or to stdout when there is none."""
+def _write(path: Optional[str], chunks: Iterable[str]) -> None:
+    """Write the text chunks, in order and as they come, to the file at
+    path, or to stdout when there is none.  The file is opened only here,
+    so a caller whose input is bad raises before it is created or
+    truncated, provided the chunks themselves cannot fail."""
     if path is not None:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read_json(path: str, what: str) -> object:
@@ -183,7 +186,7 @@ def _cmd_shadow(args: argparse.Namespace) -> int:
 
 def _cmd_tile(args: argparse.Namespace) -> int:
     if args.tile_cmd == "construct":
-        _write(args.output, json.dumps(tiling_to_json(construct_tiling(args.k))) + "\n")
+        _write(args.output, (json.dumps(tiling_to_json(construct_tiling(args.k))), "\n"))
         return 0
     if getattr(args, "limit", None) is not None and args.limit < 0:
         raise TrihexError(f"--limit must be 0 or more, got {args.limit}")
@@ -228,6 +231,8 @@ def _scan_rows(args: argparse.Namespace) -> List[dict]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.max < 2:  # the smallest benzel is (2, 2)
+        raise TrihexError(f"--max must be 2 or more, got {args.max}")
     if args.search_cap < 0:
         raise TrihexError(f"--search-cap must be 0 or more, got {args.search_cap}")
     rows = _scan_rows(args)
@@ -263,7 +268,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         source = boundary if boundary is not None else trace_boundary(region)
         shadow = shadow_word(source, source.basepoint)
     hexagon = params if args.show_hexagon else None
-    _write(args.output, render_svg(region, tiling, boundary, shadow, hexagon, spec))
+    _write(args.output, _svg_chunks(region, tiling, boundary, shadow, hexagon, spec))
     return 0
 
 

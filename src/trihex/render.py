@@ -5,13 +5,19 @@ point x + y*omega maps to (x - y/2, -y*sqrt(3)/2), the minus sign giving
 screen coordinates (y grows downward).  Every element carries a class
 attribute (cell / tile / boundary / shadow / hexagon) so output can be
 inspected and counted; identical inputs produce byte-identical SVG.
+
+There is one rendering path.  _svg_chunks does every computation that can
+fail up front and returns the document as an iterator of lines, formatted
+as they are read; render_svg joins them into one string, and the CLI
+writes them to their file or stdout as they come, so `trihex render`
+never holds the whole document.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -74,24 +80,42 @@ def render_svg(
     hexagon: Optional[BenzelParams] = None,
     spec: RenderSpec = RenderSpec(),
 ) -> str:
-    """Compose the requested layers into a standalone SVG document.
+    """Compose the requested layers into a standalone SVG document: the
+    text of _svg_chunks, joined.  Raises InvalidParams when the unit puts
+    the viewBox beyond the float range, or when a coordinate does."""
+    return "".join(_svg_chunks(region, tiling, boundary, shadow, hexagon, spec))
+
+
+def _svg_chunks(
+    region: Optional[Region],
+    tiling: Optional[Tiling],
+    boundary: Optional[Word],
+    shadow: Optional[Word],
+    hexagon: Optional[BenzelParams],
+    spec: RenderSpec,
+) -> Iterator[str]:
+    """The SVG document of render_svg as an iterator of lines, each ending
+    in a newline, built as it is read.
 
     Each tile is drawn as one closed path: the cell edges not shared
     between two cells of the same tile.  The viewBox spans every vertex
     drawn, and the corners of the tiling's cells when the cell layer did
     not draw them.  Vertices stay plain integer pairs: screen x depends
-    only on u = 2x - y and screen y only on y, so before a ring (the cell
-    corners, one kind's tile outline, a word) is drawn about its anchors,
-    each distinct u and y it reaches is formatted once, keyed by value.
-    Raises InvalidParams when the unit puts the viewBox beyond the float
-    range, or when a coordinate does.
+    only on u = 2x - y and screen y only on y, so every ring (the cell
+    corners, one kind's tile outline, a word) first fills the tables of
+    each distinct u and y it reaches about its anchors, formatted once and
+    keyed by value.  All of that, the viewBox and both InvalidParams
+    checks happen before this returns; the cell and tile layers are then
+    formatted from the tables one element at a time as the iterator is
+    read, so a caller that writes the lines out never holds the document.
     """
-    elements: List[str] = []
     unit = spec.unit
     # unit * (u / 2.0) is the float embed gives while |x|, |y| < 2**51.
     # The keys of xs and ys are the values drawn.
     xs: Dict[int, str] = {}
     ys: Dict[int, str] = {}
+    # The document's lines after its header, one iterable per layer.
+    layers: List[Iterable[str]] = []
 
     def points(
         ring: Iterable[Tuple[int, int]], anchors: Collection[Tuple[int, int]]
@@ -119,42 +143,47 @@ def render_svg(
         region = tiling.region
 
     if hexagon is not None:
-        elements.append(
+        layers.append((
             f'<polygon class="hexagon" points="{polyline(bounding_hexagon(hexagon))}" '
             f'fill="none" stroke="{_HEXAGON_STROKE}" stroke-width="1" '
-            'stroke-dasharray="4 3" />'
-        )
+            'stroke-dasharray="4 3" />\n',
+        ))
 
     if region is not None and spec.show_cells:
         cells = sorted(region.cells)
         # Fill the tables, then one f-string per cell; its corners as (du, dy)
         # are (2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1).
         points(_CORNER_OFFSETS, cells)
-        elements += [
+        layers.append(
             f'<polygon class="cell" points="{xs[u + 2]},{ys[y]} {xs[u + 1]},{ys[y + 1]} '
             f'{xs[u - 1]},{ys[y + 1]} {xs[u - 2]},{ys[y]} {xs[u - 1]},{ys[y - 1]} '
             f'{xs[u + 1]},{ys[y - 1]}" fill="{_CELL_FILL}" stroke="{_CELL_STROKE}" '
-            'stroke-width="1" />'
+            'stroke-width="1" />\n'
             for u, y in ((2 * x - y, y) for x, y in cells)
-        ]
+        )
 
     if tiling is not None:
-        # Placements sort by kind, so a group holds one kind's tiles.
+        # Placements sort by kind, so a group holds one kind's tiles.  Each
+        # map binds its own kind's line; a generator reading a variable
+        # rebound per kind would draw every group with the last kind's fill.
         for kind, group in groupby(tiling.placements, key=attrgetter("kind")):
-            tail = f'" fill="{_TILE_FILLS[kind.index]}" stroke="{_TILE_STROKE}" stroke-width="2" />'
+            line = (
+                f'<polygon class="tile" points="{{}}" fill="{_TILE_FILLS[kind.index]}" '
+                f'stroke="{_TILE_STROKE}" stroke-width="2" />\n'
+            )
             outlines = points(_TILE_RINGS[kind.index], [p.anchor for p in group])
-            elements += [f'<polygon class="tile" points="{o}{tail}' for o in outlines]
+            layers.append(map(line.format, outlines))
 
     for word, cls, stroke in (
         (boundary, "boundary", _BOUNDARY_STROKE),
         (shadow, "shadow", _SHADOW_STROKE),
     ):
         if word is not None:
-            elements.append(
+            layers.append((
                 f'<polyline class="{cls}" points="{polyline(word.vertices())}" '
                 f'fill="none" stroke="{stroke}" stroke-width="2.5" '
-                'stroke-linejoin="round" />'
-            )
+                'stroke-linejoin="round" />\n',
+            ))
 
     tiled = tiling.region.cells if tiling is not None else ()
     if tiled and not (spec.show_cells and tiling.region == region):
@@ -174,8 +203,6 @@ def render_svg(
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(w)} {_fmt(h)}" '
-        f'width="{_fmt(w)}" height="{_fmt(h)}">'
+        f'width="{_fmt(w)}" height="{_fmt(h)}">\n'
     )
-    elements.insert(0, header)
-    elements += ["</svg>", ""]
-    return "\n".join(elements)
+    return chain((header,), *layers, ("</svg>\n",))

@@ -92,12 +92,18 @@ KIND_BY_NAME = {k.value: k for k in TileKind}
 
 @dataclass(frozen=True)
 class Placement:
-    """A prototile dropped on the lattice, named by kind and anchor cell."""
+    """A prototile dropped on the lattice, named by kind and anchor cell.
+    InvalidParams when kind is not a TileKind or anchor not a LatticePoint;
+    InvalidPlacement when the anchor is no cell center."""
 
     kind: TileKind
     anchor: LatticePoint
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, TileKind):
+            raise InvalidParams(f"kind {self.kind!r} is not a TileKind")
+        if type(self.anchor) is not LatticePoint:
+            raise InvalidParams(f"anchor {self.anchor!r} is not a LatticePoint")
         if class_of(self.anchor) != -1:
             raise InvalidPlacement(
                 f"anchor {self.anchor} has class {class_of(self.anchor)}, not -1"
@@ -131,7 +137,8 @@ def cells_of(p: Placement) -> Tuple[LatticePoint, LatticePoint, LatticePoint]:
 
 @dataclass(frozen=True)
 class Tiling:
-    """A region together with placements intended to partition it."""
+    """A region together with placements intended to partition it, given
+    as any iterable of Placement (InvalidParams otherwise) and kept sorted."""
 
     region: Region
     placements: Tuple[Placement, ...]
@@ -140,9 +147,16 @@ class Tiling:
     _valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "placements", tuple(sorted(self.placements, key=_placement_key))
-        )
+        try:
+            ps = tuple(self.placements)
+        except TypeError:
+            raise InvalidParams(
+                f"placements must be an iterable of Placement, got {type(self.placements).__name__}"
+            ) from None
+        for p in ps:
+            if type(p) is not Placement:
+                raise InvalidParams(f"placement {p!r} is not a Placement")
+        object.__setattr__(self, "placements", tuple(sorted(ps, key=_placement_key)))
 
 
 def _mark_valid(t: Tiling) -> Tiling:

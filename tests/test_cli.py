@@ -265,6 +265,16 @@ def test_render_tiling_file_with_boundary(tmp_path, capsys):
     assert expected.count('class="boundary"') == 1
 
 
+def test_render_to_a_file_writes_what_stdout_gets(tmp_path, capsys):
+    src, out_file = tmp_path / "t.json", tmp_path / "t.svg"
+    assert run(capsys, "tile", "construct", "--k", "3", "-o", str(src))[0] == 0
+    argv = ["render", "--tiling", str(src), "--boundary"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.count('class="tile"') == 54
+    assert run(capsys, *argv, "-o", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == out.encode()
+
+
 def test_render_is_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
     for f in (f1, f2):
@@ -317,10 +327,13 @@ def test_tile_freq_resource_limit(capsys):
     assert "resource-limit: " in err
 
 
-def test_scan_with_no_benzels_prints_the_header(capsys):
-    code, out, err = run(capsys, "scan", "--max", "1")
-    assert code == 0 and err == ""
-    assert out.split() == ["a", "b", "class", "cellCount", "invariantI", "pentagonalK"]
+def test_scan_max_below_2_is_an_input_error(capsys):
+    # The smallest benzel is (2, 2), so no such bound lists anything.
+    for value in ("-3", "0", "1"):
+        message = f"--max must be 2 or more, got {value}"
+        assert run(capsys, "scan", "--max", value) == (2, "", f"error: {message}\n")
+        code, out, err = run(capsys, "scan", "--max", value, "--json")
+        assert (code, json.loads(out), err) == (2, {"error": message}, "")
 
 
 @pytest.mark.parametrize("seed", ["a", "abc", "", "aa", "ad"])
@@ -591,6 +604,35 @@ def test_render_coordinates_beyond_the_float_range(capsys, monkeypatch, tmp_path
     code, out, err = run(capsys, "render", *argv)
     assert code == 2 and out == ""
     assert err == "error: a coordinate of the drawing is beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--benzel", "3,3", "--unit", "1e308"],
+         "unit 1e+308 is too large: the drawing overflows the float range"),
+        *[
+            (argv, "a coordinate of the drawing is beyond the float range")
+            for argv in (
+                ["--region", "far.json"],
+                ["--region", "far.json", "--no-cells", "--boundary"],
+                ["--benzel", "5,7", "--word", "far.txt"],
+            )
+        ],
+    ],
+)
+def test_render_error_leaves_the_output_file_alone(capsys, monkeypatch, tmp_path, argv, message):
+    # Every render error is raised before the output file is opened, so a
+    # missing file is not created and an existing one is not truncated.
+    (tmp_path / "far.json").write_text(json.dumps({"cells": [[3 * 10**400 - 1, 0]]}))
+    (tmp_path / "far.txt").write_text(f"base={3 * 10**400},2 b a' c b' a c'\n")
+    monkeypatch.chdir(tmp_path)
+    out_file = tmp_path / "out.svg"
+    assert run(capsys, "render", *argv, "-o", str(out_file)) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
+    out_file.write_bytes(b"<svg>kept</svg>\n")
+    assert run(capsys, "render", *argv, "-o", str(out_file)) == (2, "", f"error: {message}\n")
+    assert out_file.read_bytes() == b"<svg>kept</svg>\n"
 
 
 @pytest.mark.parametrize("command", ["count", "freq"])

@@ -106,6 +106,47 @@ def test_placement_anchor_must_be_a_cell():
         Placement(TileKind.BONE_AB, LatticePoint(0, 0))
 
 
+@pytest.mark.parametrize(
+    "kind, anchor, message",
+    [
+        ("boneAB", LatticePoint(-1, 0), "kind 'boneAB' is not a TileKind"),
+        (None, LatticePoint(-1, 0), "kind None is not a TileKind"),
+        (TileKind.BONE_AB, (-1, 0), "anchor (-1, 0) is not a LatticePoint"),
+        (TileKind.BONE_AB, [-1, 0], "anchor [-1, 0] is not a LatticePoint"),
+        # The kind is judged first, and both before the anchor's class.
+        ("boneAB", (0, 0), "kind 'boneAB' is not a TileKind"),
+        (TileKind.STONE_R, (0, 0), "anchor (0, 0) is not a LatticePoint"),
+    ],
+)
+def test_placement_entries_must_have_their_types(kind, anchor, message):
+    with pytest.raises(InvalidParams) as err:
+        Placement(kind, anchor)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (("x",), "placement 'x' is not a Placement"),
+        ("x", "placement 'x' is not a Placement"),
+        ((Placement(TileKind.BONE_AB, ANCHOR), (TileKind.BONE_BC, (-2, -2))),
+         "placement (<TileKind.BONE_BC: 'boneBC'>, (-2, -2)) is not a Placement"),
+        (5, "placements must be an iterable of Placement, got int"),
+        (None, "placements must be an iterable of Placement, got NoneType"),
+    ],
+)
+def test_tiling_placements_must_be_placements(entries, message):
+    with pytest.raises(InvalidParams) as err:
+        Tiling(benzel(BenzelParams(3, 3)), entries)
+    assert str(err.value) == message
+
+
+def test_tiling_takes_any_iterable_of_placements():
+    t = next(enumerate_tilings(benzel(BenzelParams(5, 7)), BONES))
+    for entries in (list(t.placements), iter(t.placements), reversed(t.placements)):
+        assert Tiling(t.region, entries) == t
+
+
 def test_stone_chirality_matches_shadow_area():
     for kind, expected in ((TileKind.STONE_R, 3), (TileKind.STONE_L, -3)):
         region = Region(frozenset(cells_of(Placement(kind, ANCHOR))))
