@@ -341,5 +341,5 @@ def test_streamed_render_never_holds_the_document(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.read_text() == svg
-    # About 0.3 MB against a 2.4 MB document, which render_svg holds.
+    # About 0.3 MB against a 2.5 MB document, which render_svg holds.
     assert streamed < len(svg) / 4 < joined
