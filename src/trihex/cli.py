@@ -141,17 +141,19 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
-    """The benzel and triangle commands."""
+    """The benzel and triangle commands; a benzel's boundary word is its
+    closed form, so that branch builds no region."""
     params = BenzelParams(args.a, args.b) if args.command == "benzel" else None
+    if args.boundary_word:
+        if params is None:
+            word = trace_boundary(triangle(args.n))
+        else:
+            word = boundary_word_closed_form(params)
+        _emit(args, {"word": word_to_text(word)}, word_to_text(word))
+        return 0
     region = triangle(args.n) if params is None else benzel(params)
     if args.cells:
         print(json.dumps(region_to_json(region)))
-    elif args.boundary_word:
-        if params is not None:
-            word = boundary_word_closed_form(params)
-        else:
-            word = trace_boundary(region)
-        _emit(args, {"word": word_to_text(word)}, word_to_text(word))
     elif args.area:
         _emit(args, {"area": len(region)}, str(len(region)))
     else:

@@ -27,20 +27,20 @@ index in placements(r, tileset), whose (kind, anchor) order is the
 canonical order of a tiling's placements, so enumeration puts each
 tiling in that order by a plain sort of its ranks.
 
-A tiling is frozen, so once valid it stays valid, and each Tiling object
-remembers whether it is known to be: the tilings enumeration yields are
-marked when built, and any other tiling is marked by the first check it
-passes.  The statistics skip the check on a marked tiling; validate and
-validation_error always recompute.
+A tiling is frozen, so once valid it stays valid.  validate alone decides
+that and marks each Tiling object it passes; enumeration marks the tilings
+it yields when built.  The statistics trust a marked tiling and validate
+any other; validate and validation_error always recompute.
 
 A tileset is a collection of TileKind members; any other entry raises
-InvalidParams.
+InvalidParams.  Messages show lattice points as (x, y).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -101,9 +101,9 @@ class Placement:
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, TileKind):
-            raise InvalidParams(f"kind {self.kind!r} is not a TileKind")
+            raise InvalidParams(f"kind {_show(self.kind)} is not a TileKind")
         if type(self.anchor) is not LatticePoint:
-            raise InvalidParams(f"anchor {self.anchor!r} is not a LatticePoint")
+            raise InvalidParams(f"anchor {_show(self.anchor)} is not a LatticePoint")
         if class_of(self.anchor) != -1:
             raise InvalidPlacement(
                 f"anchor {self.anchor} has class {class_of(self.anchor)}, not -1"
@@ -112,6 +112,12 @@ class Placement:
     def __lt__(self, other: "Placement") -> bool:
         # Kinds sort in declaration order (bones before stones).
         return _placement_key(self) < _placement_key(other)
+
+
+def _show(value: object) -> str:
+    """repr(value) with each lattice point as (x, y), cut to 80 characters."""
+    s = re.sub(r"LatticePoint\(x=(-?\d+), y=(-?\d+)\)", r"(\1, \2)", repr(value))
+    return s if len(s) <= 80 else s[:77] + "..."
 
 
 def _unchecked(kinds: Iterable[TileKind], anchors: Iterable[LatticePoint]) -> List[Placement]:
@@ -142,8 +148,8 @@ class Tiling:
 
     region: Region
     placements: Tuple[Placement, ...]
-    # Known to partition the region; set only by _mark_valid, and left out
-    # of equality, so it marks this object and never a tiling's value.
+    # Known to partition the region; set only by validate and _trusted, and
+    # left out of equality, so it marks this object and never a tiling's value.
     _valid: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -155,14 +161,8 @@ class Tiling:
             ) from None
         for p in ps:
             if type(p) is not Placement:
-                raise InvalidParams(f"placement {p!r} is not a Placement")
+                raise InvalidParams(f"placement {_show(p)} is not a Placement")
         object.__setattr__(self, "placements", tuple(sorted(ps, key=_placement_key)))
-
-
-def _mark_valid(t: Tiling) -> Tiling:
-    """Record that t partitions its region, and return it."""
-    object.__setattr__(t, "_valid", True)
-    return t
 
 
 def _trusted(region: Region, placements: Tuple[Placement, ...]) -> Tiling:
@@ -182,10 +182,11 @@ def _tileset_kinds(tileset: Iterable[TileKind]) -> FrozenSet[TileKind]:
     try:
         entries = tuple(tileset)
     except TypeError:
-        raise InvalidParams(f"a tileset is a collection of TileKind, got {tileset!r}") from None
+        got = _show(tileset)
+        raise InvalidParams(f"a tileset is a collection of TileKind, got {got}") from None
     for k in entries:
         if not isinstance(k, TileKind):
-            raise InvalidParams(f"tileset entry {k!r} is not a TileKind")
+            raise InvalidParams(f"tileset entry {_show(k)} is not a TileKind")
     return frozenset(entries)
 
 
@@ -209,11 +210,11 @@ def placements(r: Region, tileset: Sequence[TileKind]) -> List[Placement]:
 
 
 def validate(t: Tiling) -> bool:
-    """True iff the placements partition the region's cells exactly.
-    Always checks, even a tiling already known to be valid."""
+    """True iff the placements partition the region's cells exactly, and
+    then marks t valid.  Always checks, even a tiling already marked."""
     if validation_error(t) is not None:
         return False
-    _mark_valid(t)
+    object.__setattr__(t, "_valid", True)
     return True
 
 
@@ -503,7 +504,7 @@ def enumerate_tilings(
     _tileset_kinds(tileset)  # these checks come before the first tiling, even for limit 0
     cap = _memo_limit_bytes(None)
     if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool)):
-        raise InvalidParams(f"limit must be an int or None, got {limit!r}")
+        raise InvalidParams(f"limit must be an int or None, got {_show(limit)}")
     if limit is not None and limit <= 0:
         return
     ps, by_first = _move_table(r, tileset, _enumeration_order)
@@ -555,24 +556,14 @@ def stone_balance(t: Tiling) -> int:
 
 def orientation_histogram(t: Tiling) -> Tuple[int, int, int, int, int]:
     """Per-kind placement counts (nAB, nBC, nCA, nStoneR, nStoneL).  Raises
-    InvalidTiling unless t partitions its region; a tiling from
-    enumerate_tilings, or one that passed a check before, is trusted."""
-    _require_valid(t)
+    InvalidTiling unless t partitions its region; a marked tiling is
+    trusted, and any other is validated (and so marked) first."""
+    if not (t._valid or validate(t)):
+        raise InvalidTiling(validation_error(t))
     counts = [0] * len(TileKind)
     for p in t.placements:
         counts[p.kind.index] += 1
     return tuple(counts)  # type: ignore[return-value]
-
-
-def _require_valid(t: Tiling) -> None:
-    """Raise InvalidTiling unless t partitions its region; a tiling already
-    known to be valid is not checked again."""
-    if t._valid:
-        return
-    err = validation_error(t)
-    if err is not None:
-        raise InvalidTiling(err)
-    _mark_valid(t)
 
 
 # The frequency table of the (region, tileset) asked about last, as one
@@ -638,7 +629,7 @@ def _tiles_to_json(t: Tiling) -> list:
 
 
 def tiling_from_json(obj: object) -> Tiling:
-    """Parse the tiling JSON shape; FormatError on any malformed input."""
+    """Parse the tiling JSON shape, each tile entry once; FormatError on bad input."""
     if not isinstance(obj, dict):
         raise FormatError("tiling must be a JSON object")
     extra = set(obj) - {"region", "tiles"}
@@ -650,27 +641,21 @@ def tiling_from_json(obj: object) -> Tiling:
     tiles = obj["tiles"]
     if not isinstance(tiles, list):
         raise FormatError("'tiles' must be a list")
-    # One exact-type pass, then the placements in bulk; when an entry fails
-    # it, the per-entry reader runs instead and words the first bad entry.
-    if all(
-        type(e) is dict and len(e) == 2 and type(e.get("kind")) is str
-        and e["kind"] in KIND_BY_NAME and type(a := e.get("anchor")) is list
-        and len(a) == 2 and type(a[0]) is type(a[1]) is int and (a[0] + a[1]) % 3 == 2
-        for e in tiles
-    ):
-        anchors = map(LatticePoint._make, [e["anchor"] for e in tiles])
-        return Tiling(region, tuple(_unchecked([KIND_BY_NAME[e["kind"]] for e in tiles], anchors)))
-    placs = []
-    for entry in tiles:
-        if not isinstance(entry, dict) or set(entry) != {"kind", "anchor"}:
-            raise FormatError(f"bad tile entry {entry!r}")
-        name = entry["kind"]
-        kind = KIND_BY_NAME.get(name) if isinstance(name, str) else None
-        if kind is None:
-            raise FormatError(f"unknown tile kind {name!r}")
-        anchor = point_from_json(entry["anchor"], "bad anchor")
-        try:
-            placs.append(Placement(kind, anchor))
-        except InvalidPlacement as e:
-            raise FormatError(str(e))
-    return Tiling(region, tuple(placs))
+    # An entry of exact JSON types is taken as it is; any other meets the per-entry rules.
+    kinds, anchors = [], []
+    for e in tiles:
+        if not (type(e) is dict and len(e) == 2 and type(e.get("kind")) is str
+                and e["kind"] in KIND_BY_NAME and type(a := e.get("anchor")) is list
+                and len(a) == 2 and type(a[0]) is type(a[1]) is int and (a[0] + a[1]) % 3 == 2):
+            if not isinstance(e, dict) or set(e) != {"kind", "anchor"}:
+                raise FormatError(f"bad tile entry {e!r}")
+            if not isinstance(e["kind"], str) or e["kind"] not in KIND_BY_NAME:
+                raise FormatError(f"unknown tile kind {e['kind']!r}")
+            a = point_from_json(e["anchor"], "bad anchor")
+            try:
+                Placement(KIND_BY_NAME[e["kind"]], a)
+            except InvalidPlacement as err:
+                raise FormatError(str(err))
+        kinds.append(KIND_BY_NAME[e["kind"]])
+        anchors.append(a)
+    return Tiling(region, tuple(_unchecked(kinds, map(LatticePoint._make, anchors))))

@@ -9,6 +9,7 @@ from trihex.cli import main
 from trihex.regions import (
     BenzelParams,
     benzel,
+    boundary_word_closed_form,
     region_to_json,
     trace_boundary,
     triangle,
@@ -66,6 +67,20 @@ def test_benzel_boundary_word(capsys):
     code, out, _ = run(capsys, "benzel", "--a", "5", "--b", "7", "--boundary-word")
     assert code == 0
     assert out.startswith("base=7,2")
+
+
+def test_benzel_boundary_word_builds_no_benzel(capsys, monkeypatch):
+    # The word is the closed form; building the (400, 400) benzel first
+    # cost 0.25 s and 28 MB for an 8 KB answer.
+    def no_benzel(params):
+        raise AssertionError("benzel built")
+
+    monkeypatch.setattr("trihex.cli.benzel", no_benzel)
+    word = word_to_text(boundary_word_closed_form(BenzelParams(400, 400)))
+    code, out, _ = run(capsys, "benzel", "--a", "400", "--b", "400", "--boundary-word")
+    assert code == 0 and out == word + "\n"
+    code, out, _ = run(capsys, "benzel", "--a", "400", "--b", "400", "--boundary-word", "--json")
+    assert code == 0 and json.loads(out) == {"word": word}
 
 
 def test_triangle_invariant(capsys):

@@ -622,3 +622,18 @@ def test_json_readers_match_the_per_entry_reference(picks):
             at = where(len(tiles))
             bad_doc = {"region": doc["region"], "tiles": tiles[:at] + [bad] + tiles[at:]}
             _same_reading(tiling_from_json, _reference_tiling_from_json, bad_doc)
+        # Two entries that fail the exact-type test: a good subclass entry
+        # before each bad one, and each bad entry before the next.  Only the
+        # first bad entry of a document, not the first inexact one, is named.
+        kind = tiles[0]["kind"]
+        subclass = [
+            {"kind": kind, "anchor": _Pair([1, 1])},
+            {"kind": kind, "anchor": [_One.ONE, 1]},
+            OrderedDict(tiles[-1]),
+        ]
+        pairs = [(s, bad) for s in subclass for bad in bad_tiles[: len(_BAD_TILES)]]
+        pairs += zip(bad_tiles, bad_tiles[1:] + bad_tiles[:1])
+        head, tail = tiles[: len(tiles) // 2], tiles[len(tiles) // 2 :]
+        for first, second in pairs:
+            two_doc = {"region": doc["region"], "tiles": head + [first] + tail + [second]}
+            _same_reading(tiling_from_json, _reference_tiling_from_json, two_doc)

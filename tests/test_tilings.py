@@ -46,10 +46,10 @@ from trihex.tilings import (
     _BYTES_PER_STATE,
     _counting_order,
     _frequency_table,
-    _mark_valid,
     _move_table,
     _placement_key,
     _sweep,
+    _trusted,
 )
 
 from reference import region_from_cells
@@ -139,6 +139,39 @@ def test_tiling_placements_must_be_placements(entries, message):
     with pytest.raises(InvalidParams) as err:
         Tiling(benzel(BenzelParams(3, 3)), entries)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda r: Tiling(r, [(TileKind.BONE_BC, LatticePoint(-2, -2))]),
+         "placement (<TileKind.BONE_BC: 'boneBC'>, (-2, -2)) is not a Placement"),
+        (lambda r: Placement(LatticePoint(-1, 0), TileKind.BONE_AB),
+         "kind (-1, 0) is not a TileKind"),
+        (lambda r: count_tilings(r, [LatticePoint(0, 0)]),
+         "tileset entry (0, 0) is not a TileKind"),
+        (lambda r: next(enumerate_tilings(r, BONES, LatticePoint(1, 1))),
+         "limit must be an int or None, got (1, 1)"),
+    ],
+    ids=["placement", "kind", "tileset entry", "limit"],
+)
+def test_messages_write_lattice_points_as_pairs(call, message):
+    with pytest.raises(InvalidParams) as err:
+        call(benzel(BenzelParams(3, 3)))
+    assert str(err.value) == message
+
+
+def test_messages_cut_a_long_value_short():
+    # A region passed as the tileset was named by its full repr, every
+    # cell a LatticePoint(x=..., y=...): about 1 MB of text at k = 12.
+    head = "a tileset is a collection of TileKind, got Region(cells=frozenset({("
+    for r, cut in ((benzel(BenzelParams(3, 3)), False), (benzel(BenzelParams(40, 40)), True)):
+        with pytest.raises(InvalidParams) as err:
+            count_tilings(BONES, r)
+        message = str(err.value)
+        assert message.startswith(head) and "LatticePoint(" not in message
+        assert len(message) < 200 and message.endswith("...") == cut
+        assert all(str(c) in message for c in r.cells) != cut
 
 
 def test_tiling_takes_any_iterable_of_placements():
@@ -672,10 +705,10 @@ def test_invalid_tiling_is_checked_after_a_valid_one():
     for bad in (Tiling(r, ()), Tiling(r, (ps[0], ps[0])), Tiling(r, good.placements[1:])):
         assert stone_balance(good) == 3
         assert validate(Tiling(r, good.placements))
-        with pytest.raises(InvalidTiling):
-            stone_balance(bad)
-        with pytest.raises(InvalidTiling):
-            orientation_histogram(bad)
+        for stat in (stone_balance, orientation_histogram):
+            with pytest.raises(InvalidTiling) as err:
+                stat(bad)
+            assert str(err.value) == validation_error(bad)
         assert not validate(bad) and not bad._valid
 
 
@@ -701,7 +734,7 @@ def test_reference_check_ignores_the_mark():
     # Only the statistics read the mark; validate and validation_error
     # recompute, so a tiling marked by mistake still fails them.
     r = benzel(BenzelParams(3, 3))
-    forged = _mark_valid(Tiling(r, ()))
+    forged = _trusted(r, ())
     assert validation_error(forged) == "cell (-2, -2) is uncovered"
     assert not validate(forged)
     assert orientation_histogram(forged) == (0, 0, 0, 0, 0)
