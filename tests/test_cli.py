@@ -70,8 +70,8 @@ def test_benzel_boundary_word(capsys):
 
 
 def test_benzel_boundary_word_builds_no_benzel(capsys, monkeypatch):
-    # The word is the closed form; building the (400, 400) benzel first
-    # cost 0.25 s and 28 MB for an 8 KB answer.
+    # The word is the closed form, so no benzel is built for it; its cells
+    # grow with a * b while the word grows with a + b.
     def no_benzel(params):
         raise AssertionError("benzel built")
 
