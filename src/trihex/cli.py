@@ -12,11 +12,17 @@ states it holds.  Hitting the cap prints "resource-limit" on stdout,
 never a count of 0, and on stderr the cell the sweep reached, its states
 and their estimated bytes; a bad cap, given here or in
 TRIBONE_MEMO_LIMIT_MB, is an input error that the library reports.
+A command runs with the cyclic garbage collector paused, and main puts
+the collector back as it found it on return: the regions, tilings and
+JSON documents a command builds hold no reference cycles, so reference
+counting frees them, and the collections their many containers would set
+off find nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -374,8 +380,18 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (sys.argv's when None), run its command and return the
+    exit code, with the cyclic collector paused throughout."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return _HANDLERS[args.command](args)
     except ResourceLimit as e:

@@ -115,8 +115,19 @@ class Placement:
 
 
 def _show(value: object) -> str:
-    """repr(value) with each lattice point as (x, y), cut to 80 characters."""
-    s = re.sub(r"LatticePoint\(x=(-?\d+), y=(-?\d+)\)", r"(\1, \2)", repr(value))
+    """repr(value) with each lattice point as (x, y), cut to 80 characters.
+    A region's repr is written a cell at a time and only up to the cut."""
+    point = r"LatticePoint\(x=(-?\d+), y=(-?\d+)\)"
+    if type(value) is Region and type(value.cells) is frozenset and value.cells:
+        s = "Region(cells=frozenset({"
+        for c in value.cells:
+            if len(s) > 80:
+                break
+            s += re.sub(point, r"(\1, \2)", repr(c)) + ", "
+        else:
+            s = s[:-2] + "}))"
+    else:
+        s = re.sub(point, r"(\1, \2)", repr(value))
     return s if len(s) <= 80 else s[:77] + "..."
 
 
