@@ -6,6 +6,7 @@ a small helper only tests need; none of them is part of trihex's API.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import Iterable, List, Tuple
 
@@ -71,6 +72,13 @@ def cyclically_equal(u: Word, v: Word) -> bool:
 
 def region_from_cells(cells: Iterable[Tuple[int, int]]) -> Region:
     return Region(frozenset(LatticePoint(x, y) for x, y in cells))
+
+
+def show(value: object) -> str:
+    """The library's error-message text for value: its whole repr with
+    each lattice point as (x, y), cut to 80 characters."""
+    s = re.sub(r"LatticePoint\(x=(-?\d+), y=(-?\d+)\)", r"(\1, \2)", repr(value))
+    return s if len(s) <= 80 else s[:77] + "..."
 
 
 def cell_corners(center: LatticePoint) -> Tuple[LatticePoint, ...]:

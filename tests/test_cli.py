@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
 import hashlib
 import json
 
 import pytest
 
+from trihex import cli
 from trihex.cli import main
 from trihex.regions import (
     BenzelParams,
@@ -689,3 +691,76 @@ def test_zero_memo_limit_is_a_cap(capsys, value):
     assert code == 3
     assert out.strip() == "resource-limit"
     assert "over the cap of 0 MB" in err
+
+
+@pytest.fixture(params=[True, False], ids=["gc on", "gc off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, then put back."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["benzel", "--a", "5", "--b", "7", "--area"], 0),
+        (["tile", "count", "--benzel", "2,5", "--tiles", "bones"], 2),
+        (["tile", "count", "--benzel", "5,7", "--tiles", "bones", "--memo-limit-mb", "0.001"], 3),
+    ],
+    ids=["exit 0", "exit 2", "exit 3"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, collector, argv, code):
+    assert main(argv) == code
+    assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("argv", [["tile"], ["--help"]], ids=["usage error", "help"])
+def test_argparse_exit_leaves_the_collector_as_it_found_it(capsys, collector, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert gc.isenabled() == collector
+
+
+def test_escaping_exception_leaves_the_collector_as_it_found_it(monkeypatch, collector):
+    def fail(args):
+        assert not gc.isenabled()  # the command runs with the collector paused
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "benzel", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["benzel", "--a", "5", "--b", "7", "--area"])
+    assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize("collector", [True], indirect=True, ids=["gc on"])
+def test_tile_construct_sets_off_no_collection(tmp_path, collector):
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        assert main(["tile", "construct", "--k", "12", "-o", str(tmp_path / "t.json")]) == 0
+    finally:
+        gc.callbacks.remove(note)
+    assert starts == []
+
+
+@pytest.mark.parametrize("collector", [False], indirect=True, ids=["gc off"])
+def test_tile_construct_leaves_no_cycles_that_grow_with_k(tmp_path, collector):
+    # Only argparse's parser is cyclic garbage, the same at every k, so the
+    # paused collector holds back no memory that grows with the tiling.
+    # The collector stays off so that no automatic collection takes garbage
+    # before it is counted.
+    found = []
+    for k in ("3", "12"):
+        gc.collect()
+        assert main(["tile", "construct", "--k", k, "-o", str(tmp_path / "t.json")]) == 0
+        found.append(gc.collect())
+    assert found[0] == found[1] > 0

@@ -52,7 +52,7 @@ from trihex.tilings import (
     _trusted,
 )
 
-from reference import region_from_cells
+from reference import region_from_cells, show
 
 ANCHOR = LatticePoint(-2, -2)
 
@@ -172,6 +172,21 @@ def test_messages_cut_a_long_value_short():
         assert message.startswith(head) and "LatticePoint(" not in message
         assert len(message) < 200 and message.endswith("...") == cut
         assert all(str(c) in message for c in r.cells) != cut
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda: Region(frozenset()), lambda: triangle(1), lambda: benzel(BenzelParams(3, 3)),
+     lambda: benzel(BenzelParams(40, 40)), lambda: benzel(BenzelParams(176, 210))],
+    ids=["empty", "T(1)", "B(3,3)", "B(40,40)", "B(176,210)"],
+)
+def test_messages_name_a_region_as_its_full_repr_would(shape):
+    # The message writes only the cells it shows; the reference writes
+    # the whole repr and then cuts it.
+    region = shape()
+    with pytest.raises(InvalidParams) as err:
+        count_tilings(BONES, region)
+    assert str(err.value) == f"a tileset is a collection of TileKind, got {show(region)}"
 
 
 def test_tiling_takes_any_iterable_of_placements():
